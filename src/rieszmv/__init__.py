@@ -64,6 +64,7 @@ from .pwl import (
 from .geometry import (
     candidate_vertices,
     delta_norm,
+    extrema,
     is_invalid,
     is_valid,
     maximum,

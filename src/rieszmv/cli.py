@@ -8,6 +8,7 @@ Exit status: 0 success, 1 domain error, 2 budget exceeded, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -143,14 +144,10 @@ def cmd_span(args):
     stakes = [parse_rational(s) for s in args.stakes]
     combo = coherence.span_combination(book, stakes)
     phi = synthesis.synth_pwl(combo, args.budget)
-    # the synthesized formula agrees with the combination pointwise, so its
-    # minimum sits on the combination's own arrangement vertices
-    verdict = False
-    witness = None
-    for v in geometry.candidate_vertices(combo, args.budget):
-        if evaluate(phi, v) == 0:
-            verdict, witness = True, v
-            break
+    # the synthesized formula agrees with the combination pointwise, so both
+    # have the same minimum, at the same first vertex
+    lo, witness, _, _ = geometry.extrema(combo, args.budget)
+    verdict = lo == 0
     text = format_formula(phi)
     data = {"formula": text, "invalid": verdict}
     lines = [text, "invalid" if verdict else "not invalid"]
@@ -161,6 +158,7 @@ def cmd_span(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="rieszmv", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit JSON instead of plain lines")
@@ -209,7 +207,8 @@ def build_parser():
 
     p = sub.add_parser("span", help="synthesize a quasi-linear span member")
     p.add_argument("book")
-    p.add_argument("stakes", nargs="+", help="one rational stake per event")
+    # REMAINDER, so that negative stakes such as -1/2 are not read as options
+    p.add_argument("stakes", nargs=argparse.REMAINDER, help="one rational stake per event")
     p.set_defaults(run=cmd_span)
 
     return parser
@@ -219,6 +218,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "span" and not args.stakes:
+            parser.error("the following arguments are required: stakes")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (ParseError, RangeViolationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit reached)", file=sys.stderr)
         return EXIT_DOMAIN
 
 

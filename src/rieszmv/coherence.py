@@ -24,7 +24,7 @@ from .formula import Formula, Ominus, Oplus, Nabla, RConst, arity, evaluate, for
 from .geometry import vertices_from_components
 from .kernel import ONE, UnitRational, ZERO
 from .lp import INFEASIBLE, solve_lp
-from .pwl import MaxMin, components, constant, linear_combination, mm_add, term_pwl
+from .pwl import MaxMin, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
 from .synthesis import synth_pwl
 
 
@@ -101,11 +101,15 @@ def event_image(book: Book, budget=None):
     the returned vectors equals the hull of the full evaluation image.
     """
     n = book.dimension
-    pooled = []
-    for phi, _ in book.events:
-        pooled.extend(components(term_pwl(phi, n)))
+    terms = [term_pwl(phi, n) for phi, _ in book.events]
+    pooled = [a for f in terms for a in components(f)]
     vertices = vertices_from_components(n, pooled, budget)
-    return [(v, tuple(evaluate(phi, v) for phi, _ in book.events)) for v in vertices]
+    return [(v, tuple(maxmin_eval(f, v) for f in terms)) for v in vertices]
+
+
+def _max_payoff(stakes, odds, image):
+    # the largest stake payoff over the image; a Dutch book's margin is its negation
+    return max(sum(c * (r - v) for c, r, v in zip(stakes, odds, values)) for _, values in image)
 
 
 def check_coherent(book: Book, budget=None):
@@ -127,11 +131,7 @@ def check_coherent(book: Book, budget=None):
         stakes = [-y for y in result.farkas[: book.k]]
         scale = max(abs(c) for c in stakes)
         stakes = [c / scale for c in stakes]
-        worst = max(
-            sum(c * (r - value) for c, r, value in zip(stakes, odds, values))
-            for _, values in image
-        )
-        return Incoherent(DutchBook(tuple(stakes), -worst))
+        return Incoherent(DutchBook(tuple(stakes), -_max_payoff(stakes, odds, image)))
 
     support = tuple(
         (point, weight) for (point, _), weight in zip(image, result.x) if weight > 0
@@ -147,27 +147,16 @@ def verify_certificate(book: Book, result, budget=None) -> bool:
     at every candidate vertex of the book's arrangement.
     """
     if isinstance(result, Coherent):
-        support = result.witness.support
-        if len(support) > book.k + 1:
+        if len(result.witness.support) > book.k + 1:
             return False
-        for phi, r in book.events:
-            total = sum((w * evaluate(phi, point) for point, w in support), ZERO)
-            if total != r:
-                return False
-        return True
+        return all(state_eval(result.witness, phi) == r for phi, r in book.events)
     if isinstance(result, Incoherent):
         stakes = result.dutch_book.stakes
         margin = result.dutch_book.margin
         if len(stakes) != book.k or margin <= 0:
             return False
-        for _, values in event_image(book, budget):
-            loss = sum(
-                (c * (r - value) for c, (_, r), value in zip(stakes, book.events, values)),
-                ZERO,
-            )
-            if loss > -margin:
-                return False
-        return True
+        odds = [r for _, r in book.events]
+        return _max_payoff(stakes, odds, event_image(book, budget)) <= -margin
     raise TypeError(f"not a coherence result: {result!r}")
 
 

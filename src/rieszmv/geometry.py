@@ -3,8 +3,8 @@
 A Max-Min function is affine on every cell of the arrangement cut out by
 the pairwise differences of its pieces together with the box facets, so its
 extrema over [0, 1]^n are attained at cell vertices: intersections of n
-independent hyperplanes from that family.  Enumerating those intersections
-exactly gives certified minima and maxima, and with them validity,
+independent hyperplanes from that family.  :func:`extrema`, the one scan of
+those vertices, gives certified minima and maxima, and with them validity,
 invalidity, semantic equivalence and the unit seminorm of formulas.
 """
 
@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from fractions import Fraction
 
 from .errors import BudgetExceededError
 from .formula import Ominus, Oplus, arity, evaluate
 from .kernel import ONE, ZERO
-from .pwl import MaxMin, components, term_pwl
+from .pwl import MaxMin, components, maxmin_eval, term_pwl
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
 
@@ -104,29 +105,33 @@ def candidate_vertices(f: MaxMin, budget=None):
     return vertices_from_components(f.n, components(f), budget)
 
 
-def _optimum(phi, budget, better):
+def extrema(f: MaxMin, budget=None):
+    """``(lo, lo_at, hi, hi_at)``: exact minimum and maximum of ``f`` over the box.
+
+    Ties go to the first candidate vertex in sorted order.
+    """
+    scan = [(maxmin_eval(f, v), v) for v in candidate_vertices(f, budget)]
+    by_value = operator.itemgetter(0)
+    # min and max return the first of equal items
+    return min(scan, key=by_value) + max(scan, key=by_value)
+
+
+def _term_extrema(phi, budget):
     n = arity(phi)
     if n == 0:
-        return evaluate(phi, ()), ()
-    f = term_pwl(phi, n)
-    best = None
-    witness = None
-    for v in candidate_vertices(f, budget):
-        value = evaluate(phi, v)
-        if best is None or better(value, best):
-            best = value
-            witness = v
-    return best, witness
+        value = evaluate(phi, ())
+        return value, (), value, ()
+    return extrema(term_pwl(phi, n), budget)
 
 
 def minimum(phi, budget=None):
     """Exact minimum of the term function over the box, with a witness point."""
-    return _optimum(phi, budget, lambda a, b: a < b)
+    return _term_extrema(phi, budget)[:2]
 
 
 def maximum(phi, budget=None):
     """Exact maximum of the term function over the box, with a witness point."""
-    return _optimum(phi, budget, lambda a, b: a > b)
+    return _term_extrema(phi, budget)[2:]
 
 
 def is_valid(phi, budget=None) -> bool:

@@ -19,9 +19,10 @@ import math
 
 from .errors import RangeViolationError
 from .formula import Delta, Formula, Join, Meet, Neg, Odot, Oplus, RConst, Var
-from .geometry import candidate_vertices
+from .geometry import extrema
 from .kernel import ONE, ZERO
-from .pwl import Affine, MaxMin, maxmin_eval
+# unused here, but perfbench/tracing.py wraps maxmin_eval at this attribute
+from .pwl import Affine, MaxMin, maxmin_eval  # noqa: F401
 
 # Summands are (coefficient, variable index or None for the constant part);
 # coefficients are nonzero rationals in [-1, 1].  Constant summands come
@@ -191,14 +192,7 @@ def synth_pwl(f: MaxMin, budget=None) -> Formula:
     the unit truncation and the per-piece syntheses can be joined back
     exactly); raises :class:`RangeViolationError` with a witness otherwise.
     """
-    lo = hi = None
-    lo_at = hi_at = None
-    for v in candidate_vertices(f, budget):
-        value = maxmin_eval(f, v)
-        if lo is None or value < lo:
-            lo, lo_at = value, v
-        if hi is None or value > hi:
-            hi, hi_at = value, v
+    lo, lo_at, hi, hi_at = extrema(f, budget)
     if lo < 0:
         raise RangeViolationError("function drops below 0", lo_at, lo)
     if hi > 1:

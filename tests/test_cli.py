@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from rieszmv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+import rieszmv
+from rieszmv import candidate_vertices, coherence, evaluate, parse
+from rieszmv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
 
 F = Fraction
 
@@ -172,3 +178,113 @@ def test_deterministic_output(tmp_path, capsys):
         _, out, _ = run(capsys, "coherent", str(path))
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def _alone(*argv):
+    """(exit code, stdout, stderr) of one ``rieszmv`` call in a fresh interpreter."""
+    src = str(Path(rieszmv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rieszmv.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys):
+    calls = [("eval",), ("--json", "eval", "v1 (+) v2", "--at", "1/2,3/4"), ("eval", "D[1/2] v1", "--at", "3/5")]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert build_parser() is build_parser()
+    assert in_process == [_alone(*argv) for argv in calls]
+    assert in_process[0][0] == EXIT_USAGE
+
+
+def test_span_takes_negative_stakes_as_in_the_readme(tmp_path, capsys):
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(BOOK_INCOHERENT))
+    code, out, _ = run(capsys, "span", str(path), "1", "-1/2")
+    assert code == EXIT_OK
+    text, verdict, *rest = out.splitlines()
+    # oracle: the first candidate vertex at which the printed formula is 0
+    phi = parse(text)
+    combo = coherence.span_combination(coherence.book_from_json(BOOK_INCOHERENT), [F(1), F(-1, 2)])
+    zeros = [v for v in candidate_vertices(combo) if evaluate(phi, v) == 0]
+    assert verdict == ("invalid" if zeros else "not invalid")
+    assert rest == ([",".join(str(c) for c in zeros[0])] if zeros else [])
+    assert run(capsys, "span", str(path), "--", "1", "-1/2") == (code, out, "")
+
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"events": [{"formula": "v1", "odd": "1/2"}]}))
+    assert run(capsys, "span", str(single), "-3/4")[0] == EXIT_OK
+    assert run(capsys, "span", str(single))[0] == EXIT_USAGE
+
+
+# the shapes of the deep inputs in perfbench/workloads.py
+DEEP = (
+    "(" * 150 + "v1" + ")" * 150,
+    "!" * 1200 + "v1",
+    " -> ".join(["v1"] * 1200),
+    "D[1/2] " * 1200 + "v1",
+)
+LONG_SCALAR = "D[1/" + "7" * 400 + "] v1"
+MALFORMED_BOOKS = (
+    "{",
+    "[]",
+    '{"events": []}',
+    '{"events": [1]}',
+    '{"events": [{"formula": 3, "odd": "1/2"}]}',
+    '{"events": [{"formula": "v1", "odd": null}]}',
+    '{"events": [{"formula": "v1", "odd": "2"}]}',
+    '{"events": [{"formula": "v1", "odd": "1/0"}]}',
+)
+MALFORMED_PWLS = (
+    "{",
+    "{}",
+    '{"n": "x", "groups": []}',
+    '{"n": 1, "groups": [[]]}',
+    '{"n": 1, "groups": [[["0"]]]}',
+    '{"n": 1, "groups": [[["0", "x"]]]}',
+    '{"n": 1, "groups": [[["0", "2"]]]}',
+)
+MALFORMED_CERTIFICATES = (
+    "{",
+    "[]",
+    '{"kind": 5}',
+    '{"kind": "coherent", "support": []}',
+    '{"kind": "coherent", "support": [{"point": [], "weight": "1"}]}',
+    '{"kind": "coherent", "support": [{"point": ["x"], "weight": "1"}]}',
+    '{"kind": "incoherent", "stakes": ["1"], "margin": "1"}',
+    '{"kind": "incoherent", "stakes": [null, 1], "margin": "1/5"}',
+)
+
+
+def _hostile_calls(tmp_path):
+    def file(text):
+        path = tmp_path / f"input{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(text)
+        return str(path)
+
+    good_book = file(json.dumps(BOOK_INCOHERENT))
+    for text in DEEP + (LONG_SCALAR,):
+        yield "eval", text, "--at", "1/3"
+        for command in ("min", "max", "valid", "invalid", "norm", "components"):
+            yield command, text
+        yield "equiv", text, "v1"
+        book = file(json.dumps({"events": [{"formula": text, "odd": "1/2"}]}))
+        yield "coherent", book
+        yield "span", book, "1"
+    for text in MALFORMED_BOOKS:
+        book = file(text)
+        yield "coherent", book
+        yield "span", book, "-1/2"
+    for text in MALFORMED_PWLS:
+        yield "synth", file(text)
+    for text in MALFORMED_CERTIFICATES:
+        yield "coherent", good_book, "--verify", file(text)
+
+
+def test_every_subcommand_keeps_the_exit_code_contract_on_hostile_input(tmp_path, capsys):
+    for argv in _hostile_calls(tmp_path):
+        code, _, err = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_BUDGET, EXIT_USAGE), argv
+        if code in (EXIT_DOMAIN, EXIT_BUDGET):
+            assert len(err.strip().splitlines()) <= 1, argv  # one-line message

@@ -94,6 +94,10 @@ def test_tampered_certificates_fail_verification():
     result = check_coherent(book)
     weaker = Incoherent(DutchBook(result.dutch_book.stakes, result.dutch_book.margin * 2))
     assert not verify_certificate(book, weaker)
+    # the margin is tight: the true loss bound passes, just above it fails
+    assert verify_certificate(book, result)
+    above = Incoherent(DutchBook(result.dutch_book.stakes, result.dutch_book.margin + F(1, 1000)))
+    assert not verify_certificate(book, above)
     flipped = Incoherent(DutchBook(tuple(-c for c in result.dutch_book.stakes), F(1, 5)))
     assert not verify_certificate(book, flipped)
 

@@ -11,9 +11,11 @@ from rieszmv import (
     constant,
     delta_norm,
     evaluate,
+    extrema,
     is_invalid,
     is_valid,
     maximum,
+    maxmin_eval,
     minimum,
     mm_scale,
     parse,
@@ -63,8 +65,40 @@ def test_minimum_on_grid_oracle():
     assert evaluate(phi, witness) == vmin
 
 
+def test_extrema_breaks_ties_at_the_first_vertex():
+    # max(0, 2 min(1, 2x) - 1): 0 on [0, 1/4], 1 on [1/2, 1]
+    phi = parse("(v1 (+) v1) (.) (v1 (+) v1)")
+    f = term_pwl(phi, 1)
+    lo, lo_at, hi, hi_at = extrema(f)
+    vertices = candidate_vertices(f)
+    lows = [v for v in vertices if maxmin_eval(f, v) == lo]
+    highs = [v for v in vertices if maxmin_eval(f, v) == hi]
+    assert (lo, hi) == (0, 1)
+    assert lows == [(F(0),), (F(1, 4),)] and highs == [(F(1, 2),), (F(1),)]
+    assert (lo_at, hi_at) == (lows[0], highs[0])
+    assert minimum(phi) == (lo, lo_at)
+    assert maximum(phi) == (hi, hi_at)
+
+
+def test_extrema_matches_a_formula_scan_of_the_vertices():
+    # the value and the first witness that evaluating the formula at every
+    # candidate vertex gives
+    rng = random.Random(61)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        phi = rand_formula(rng, n, 3)
+        f = term_pwl(phi, n)
+        values = [(evaluate(phi, v), v) for v in candidate_vertices(f)]
+        lo = min(value for value, _ in values)
+        hi = max(value for value, _ in values)
+        lo_at = next(v for value, v in values if value == lo)
+        hi_at = next(v for value, v in values if value == hi)
+        assert extrema(f) == (lo, lo_at, hi, hi_at)
+
+
 def test_arity_zero_formulas():
     assert minimum(parse("C[1/2]")) == (F(1, 2), ())
+    assert maximum(parse("C[1/2]")) == (F(1, 2), ())
     assert unit_norm(parse("C[1/2] (+) C[1/4]")) == F(3, 4)
 
 
