@@ -39,6 +39,7 @@ from .formula import (
     expand,
     format_formula,
     parse,
+    program,
 )
 from .pwl import (
     Affine,

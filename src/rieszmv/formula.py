@@ -8,6 +8,10 @@ equivalence, truncated difference and rational constants are kept as
 distinct nodes so printing preserves the input, but their meaning is fixed
 by expansion into the primitives.
 
+:func:`arity`, :func:`evaluate`, :func:`expand` and ``pwl.term_pwl`` are each
+one loop over the cached node list of :func:`program`, so formulas built in
+code may be of any depth; only the parser and the printer recurse.
+
 Concrete grammar (ASCII, precedence low to high, ``->`` right-associative)::
 
     formula := iff
@@ -25,11 +29,13 @@ Rational literals are ``p/q`` or exact decimals (``0.3`` means 3/10).
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .kernel import ONE, UnitRational, implies as k_implies, join as k_join, meet as k_meet, neg as k_neg, odot as k_odot, oplus as k_oplus
+# The k_* names are not called here: perfbench/tracing.py patches them by name.
+from .kernel import UnitRational, implies as k_implies, join as k_join, meet as k_meet, neg as k_neg, odot as k_odot, oplus as k_oplus  # noqa: F401
 
 
 class ParseError(ValueError):
@@ -43,6 +49,9 @@ class ParseError(ValueError):
 @dataclass(frozen=True)
 class Formula:
     """Base class for formula nodes.  Instances are immutable."""
+
+    # node list built by the first program() call; not part of equality
+    _program: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self):
         return format_formula(self)
@@ -141,33 +150,76 @@ class Ominus(Formula):
     right: Formula
 
 
-_BINARY = (Implies, Oplus, Odot, Join, Meet, Iff, Ominus)
+# Binary connectives: (symbol, precedence, least precedence printed bare on
+# the left, on the right).  ``->`` is right-associative.
+_INFIX = {
+    Iff: (" <-> ", 0, 0, 1),
+    Implies: (" -> ", 1, 2, 1),
+    Join: (" \\/ ", 2, 2, 3),
+    Meet: (" /\\ ", 3, 3, 4),
+    Oplus: (" (+) ", 4, 4, 5),
+    Ominus: (" (-) ", 4, 4, 5),
+    Odot: (" (.) ", 5, 5, 6),
+}
+
+
+def program(phi: Formula) -> tuple:
+    """The distinct nodes of ``phi``, children first and left before right.
+
+    Entries are ``(type, payload, i, j, den)``: the variable index or scalar
+    (else None), the positions of the children's entries (else None), and a
+    denominator of the node's value at every integer point (the lcm over
+    paths to the leaves of the product of their scalar denominators).  The
+    walk uses an explicit stack; the tuple holds no nodes and is cached.
+    """
+    cached = getattr(phi, "_program", None)
+    if cached is not None:
+        return cached
+    entries = []
+    position = {}  # id(node) -> entry index; phi keeps every node alive
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in position:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Var:
+            entry = (Var, node.index, None, None, 1)
+        elif kind in _INFIX:
+            i = position.get(id(node.left))
+            j = position.get(id(node.right))
+            if i is None or j is None:
+                if j is None:
+                    stack.append(node.right)
+                if i is None:
+                    stack.append(node.left)
+                continue
+            di = entries[i][4]
+            dj = entries[j][4]
+            entry = (kind, None, i, j, di if di == dj else math.lcm(di, dj))
+        elif kind is Neg or kind is Nabla or kind is Delta:
+            i = position.get(id(node.child))
+            if i is None:
+                stack.append(node.child)
+                continue
+            r = None if kind is Neg else node.r
+            entry = (kind, r, i, None, entries[i][4] * (1 if r is None else r.denominator))
+        elif kind is RConst:
+            entry = (RConst, node.r, None, None, node.r.denominator)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        position[id(node)] = len(entries)
+        entries.append(entry)
+        stack.pop()
+    entries = tuple(entries)
+    object.__setattr__(phi, "_program", entries)
+    return entries
 
 
 def arity(phi: Formula) -> int:
     """Largest variable index occurring in ``phi`` (0 for constants)."""
-    seen = {}
-
-    def go(node):
-        key = id(node)
-        cached = seen.get(key)
-        if cached is not None:
-            return cached
-        kind = type(node)
-        if kind is Var:
-            out = node.index
-        elif kind is RConst:
-            out = 0
-        elif kind is Neg:
-            out = go(node.child)
-        elif kind in (Nabla, Delta):
-            out = go(node.child)
-        else:
-            out = max(go(node.left), go(node.right))
-        seen[key] = out
-        return out
-
-    return go(phi)
+    return max([e[1] for e in program(phi) if e[0] is Var], default=0)
 
 
 def evaluate(phi: Formula, point) -> Fraction:
@@ -175,59 +227,50 @@ def evaluate(phi: Formula, point) -> Fraction:
 
     Points longer than the formula's arity are accepted; the extra
     coordinates are ignored.  A variable index beyond ``len(point)`` is an
-    arity mismatch and raises ``ValueError``.
+    arity mismatch and raises ``ValueError``.  Coordinates must be ``int``
+    or ``Fraction``.  The program runs on integer numerators over the common
+    denominator ``lcm(coordinate denominators) * den(root)``.
     """
     for c in point:
-        if isinstance(c, float):
-            raise TypeError("floats are not exact; pass Fraction coordinates")
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coordinate {c!r} is not exact; pass Fraction or int coordinates")
         if c < 0 or c > 1:
             raise ValueError(f"evaluation coordinate {c} outside [0, 1]")
+    prog = program(phi)
     npoint = len(point)
-    memo = {}
-
-    def go(node):
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        kind = type(node)
+    d = math.lcm(*[c.denominator for c in point]) * prog[-1][4]
+    xs = [c.numerator * (d // c.denominator) for c in point]
+    vals = []
+    append = vals.append
+    for kind, r, i, j, _ in prog:
         if kind is Var:
-            if node.index > npoint:
-                raise ValueError(
-                    f"arity mismatch: formula uses v{node.index}, point has {npoint} coordinates"
-                )
-            out = point[node.index - 1]
+            if r > npoint:
+                raise ValueError(f"arity mismatch: formula uses v{r}, point has {npoint} coordinates")
+            v = xs[r - 1]
         elif kind is Neg:
-            out = k_neg(go(node.child))
+            v = d - vals[i]
         elif kind is Implies:
-            out = k_implies(go(node.left), go(node.right))
+            v = min(d, d - vals[i] + vals[j])
         elif kind is Nabla:
-            out = ONE - node.r * (ONE - go(node.child))
+            v = d - r.numerator * (d - vals[i]) // r.denominator
         elif kind is Delta:
-            out = node.r * go(node.child)
+            v = r.numerator * vals[i] // r.denominator
         elif kind is RConst:
-            out = node.r
+            v = r.numerator * (d // r.denominator)
         elif kind is Oplus:
-            out = k_oplus(go(node.left), go(node.right))
+            v = min(d, vals[i] + vals[j])
         elif kind is Odot:
-            out = k_odot(go(node.left), go(node.right))
+            v = max(0, vals[i] + vals[j] - d)
         elif kind is Join:
-            out = k_join(go(node.left), go(node.right))
+            v = max(vals[i], vals[j])
         elif kind is Meet:
-            out = k_meet(go(node.left), go(node.right))
+            v = min(vals[i], vals[j])
         elif kind is Iff:
-            left, right = go(node.left), go(node.right)
-            out = k_meet(k_implies(left, right), k_implies(right, left))
-        elif kind is Ominus:
-            out = k_odot(go(node.left), k_neg(go(node.right)))
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        if not isinstance(out, Fraction):
-            out = Fraction(out)
-        memo[key] = out
-        return out
-
-    return go(phi)
+            v = d - abs(vals[i] - vals[j])
+        else:  # Ominus
+            v = max(0, vals[i] - vals[j])
+        append(v)
+    return Fraction(vals[-1], d)
 
 
 def _e_odot(left, right):
@@ -246,49 +289,37 @@ def expand(phi: Formula) -> Formula:
     """Rewrite ``phi`` into the primitive connectives Var/Neg/Implies/Nabla.
 
     Evaluation commutes with expansion; this is the definitional reading of
-    the derived nodes.
+    the derived nodes.  Shared subformulas stay shared.
     """
-    # The memo is keyed on id(); only nodes owned by ``phi`` may be keys,
-    # never freshly built temporaries, whose ids could be recycled.
-    memo = {}
-
-    def go(node):
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        kind = type(node)
+    out = []
+    append = out.append
+    for kind, r, i, j, _ in program(phi):
         if kind is Var:
-            out = node
+            e = Var(r)
         elif kind is Neg:
-            out = Neg(go(node.child))
+            e = Neg(out[i])
         elif kind is Implies:
-            out = Implies(go(node.left), go(node.right))
+            e = Implies(out[i], out[j])
         elif kind is Nabla:
-            out = Nabla(node.r, go(node.child))
+            e = Nabla(r, out[i])
         elif kind is Delta:
-            out = Neg(Nabla(node.r, Neg(go(node.child))))
+            e = Neg(Nabla(r, Neg(out[i])))
         elif kind is RConst:
-            out = Neg(Nabla(node.r, Neg(Implies(Var(1), Var(1)))))
+            e = Neg(Nabla(r, Neg(Implies(Var(1), Var(1)))))
         elif kind is Oplus:
-            out = Implies(Neg(go(node.left)), go(node.right))
+            e = Implies(Neg(out[i]), out[j])
         elif kind is Odot:
-            out = _e_odot(go(node.left), go(node.right))
+            e = _e_odot(out[i], out[j])
         elif kind is Join:
-            out = _e_join(go(node.left), go(node.right))
+            e = _e_join(out[i], out[j])
         elif kind is Meet:
-            out = _e_meet(go(node.left), go(node.right))
+            e = _e_meet(out[i], out[j])
         elif kind is Iff:
-            left, right = go(node.left), go(node.right)
-            out = _e_meet(Implies(left, right), Implies(right, left))
-        elif kind is Ominus:
-            out = _e_odot(go(node.left), Neg(go(node.right)))
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[key] = out
-        return out
-
-    return go(phi)
+            e = _e_meet(Implies(out[i], out[j]), Implies(out[j], out[i]))
+        else:  # Ominus
+            e = _e_odot(out[i], Neg(out[j]))
+        append(e)
+    return out[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -458,57 +489,27 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printer
 
-_LEVELS = {
-    Iff: 0,
-    Implies: 1,
-    Join: 2,
-    Meet: 3,
-    Oplus: 4,
-    Ominus: 4,
-    Odot: 5,
-    Neg: 6,
-    Delta: 6,
-    Nabla: 6,
-    Var: 7,
-    RConst: 7,
-}
-
 
 def format_formula(phi: Formula) -> str:
     """Render ``phi`` with minimal parentheses; inverse of :func:`parse`."""
 
     def fmt(node, minimum):
+        # unary nodes and atoms bind tightest and never need parentheses
         kind = type(node)
-        level = _LEVELS[kind]
         if kind is Var:
-            s = f"v{node.index}"
-        elif kind is RConst:
-            s = f"C[{node.r}]"
-        elif kind is Neg:
-            s = "!" + fmt(node.child, 6)
-        elif kind is Delta:
-            s = f"D[{node.r}] " + fmt(node.child, 6)
-        elif kind is Nabla:
-            s = f"N[{node.r}] " + fmt(node.child, 6)
-        elif kind is Iff:
-            s = fmt(node.left, 0) + " <-> " + fmt(node.right, 1)
-        elif kind is Implies:
-            # right-associative: the right child may be another implication
-            s = fmt(node.left, 2) + " -> " + fmt(node.right, 1)
-        elif kind is Join:
-            s = fmt(node.left, 2) + " \\/ " + fmt(node.right, 3)
-        elif kind is Meet:
-            s = fmt(node.left, 3) + " /\\ " + fmt(node.right, 4)
-        elif kind is Oplus:
-            s = fmt(node.left, 4) + " (+) " + fmt(node.right, 5)
-        elif kind is Ominus:
-            s = fmt(node.left, 4) + " (-) " + fmt(node.right, 5)
-        elif kind is Odot:
-            s = fmt(node.left, 5) + " (.) " + fmt(node.right, 6)
-        else:
+            return f"v{node.index}"
+        if kind is RConst:
+            return f"C[{node.r}]"
+        if kind is Neg:
+            return "!" + fmt(node.child, 6)
+        if kind is Delta:
+            return f"D[{node.r}] " + fmt(node.child, 6)
+        if kind is Nabla:
+            return f"N[{node.r}] " + fmt(node.child, 6)
+        if kind not in _INFIX:
             raise TypeError(f"not a formula node: {node!r}")
-        if level < minimum:
-            return "(" + s + ")"
-        return s
+        symbol, level, left, right = _INFIX[kind]
+        s = fmt(node.left, left) + symbol + fmt(node.right, right)
+        return "(" + s + ")" if level < minimum else s
 
     return fmt(phi, 0)

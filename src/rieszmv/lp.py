@@ -95,6 +95,14 @@ def solve_lp(a_rows, b, c) -> SimplexResult:
         return SimplexResult(INFEASIBLE, farkas=farkas)
 
     if any(ci != 0 for ci in c):
+        # An artificial still basic after phase 1 sits at level 0; pivot it
+        # out on any nonzero original column (a degenerate pivot, so x does
+        # not move) lest phase 2 raise it.  A row without one is redundant.
+        for r in range(m):
+            if basis[r] >= n:
+                col = next((j for j in range(n) if tableau[r][j] != 0), None)
+                if col is not None:
+                    _pivot(tableau, basis, r, col)
         obj = [Fraction(ci) for ci in c] + [ZERO] * (m + 1)
         for r in range(m):
             if basis[r] < n and obj[basis[r]] != 0:

@@ -6,7 +6,8 @@ sum, nonnegative scaling, the reflection ``c - f``, lattice join/meet and
 the unit truncation ``(f v 0) ^ 1``.  The cost is term blowup, contained by
 :func:`prune` after each binary operation and a hard cap on piece counts.
 
-Term functions of formulas are extracted by :func:`term_pwl`; it agrees with
+Term functions of formulas of any depth are extracted by :func:`term_pwl`,
+one loop over :func:`rieszmv.formula.program`; it agrees with
 :func:`rieszmv.formula.evaluate` at every rational point, exactly.
 """
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import BudgetExceededError
-from .formula import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Ominus, Oplus, RConst, Var
+from .formula import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Oplus, RConst, Var, program
 from .kernel import ONE, ZERO
 
 DEFAULT_PIECE_CAP = 100_000
@@ -268,10 +269,12 @@ def prune(f: MaxMin) -> MaxMin:
     other group's min is redundant under the max.  Affine comparisons are
     decided exactly at the box corners (the difference of two pieces is
     affine, so its sign at the corners extends to their convex hull).
-    Values are preserved at every point of the box.
+    Values are preserved at every point of the box.  More corners than the
+    default piece cap is a :class:`BudgetExceededError`.
     """
     if len(f.groups) == 1 and len(f.groups[0]) == 1:
         return f
+    _check_cap(2**f.n, None, "box corner table for pruning")
     corners = _corners(f.n)
     ncol = len(corners)
 
@@ -360,63 +363,51 @@ def prune(f: MaxMin) -> MaxMin:
 def term_pwl(phi, n: int, cap=None) -> MaxMin:
     """The term function of ``phi`` on [0, 1]^n as a Max-Min object.
 
-    Structural recursion: variables become projections, negation reflects,
-    implication is the truncation of ``1 - f + g``, the scalar connectives
-    are affine reshapings, and the derived connectives follow their
-    defining expansions.  Agrees with formula evaluation at every point.
+    One pass over :func:`rieszmv.formula.program`: variables become
+    projections, negation reflects, implication is the truncation of
+    ``1 - f + g``, the scalar connectives are affine reshapings, and the
+    derived connectives follow their defining expansions.  Agrees with
+    formula evaluation at every point.
     """
-    memo = {}
-
-    def go(node):
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        kind = type(node)
+    out = []
+    append = out.append
+    for kind, r, i, j, _ in program(phi):
         if kind is Var:
-            if node.index > n:
-                raise ValueError(f"arity mismatch: v{node.index} in dimension {n}")
-            out = projection(n, node.index)
+            if r > n:
+                raise ValueError(f"arity mismatch: v{r} in dimension {n}")
+            f = projection(n, r)
         elif kind is RConst:
-            out = constant(n, node.r)
+            f = constant(n, r)
         elif kind is Neg:
-            out = prune(mm_neg_affine(go(node.child), cap))
+            f = prune(mm_neg_affine(out[i], cap))
         elif kind is Implies:
-            out = trunc(mm_add(mm_neg_affine(go(node.left), cap), go(node.right), cap), cap)
+            f = trunc(mm_add(mm_neg_affine(out[i], cap), out[j], cap), cap)
         elif kind is Nabla:
             # 1 - r + r*f; r = 0 and r = 1 collapse to a constant / identity
-            if node.r == 0:
-                out = constant(n, 1)
-            elif node.r == ONE:
-                out = go(node.child)
+            if r == 0:
+                f = constant(n, 1)
+            elif r == ONE:
+                f = out[i]
             else:
-                out = prune(
-                    mm_add(constant(n, ONE - node.r), mm_scale(node.r, go(node.child)), cap)
-                )
+                f = prune(mm_add(constant(n, ONE - r), mm_scale(r, out[i]), cap))
         elif kind is Delta:
-            out = go(node.child) if node.r == ONE else mm_scale(node.r, go(node.child))
+            f = out[i] if r == ONE else mm_scale(r, out[i])
         elif kind is Oplus:
-            out = trunc(mm_add(go(node.left), go(node.right), cap), cap)
+            f = trunc(mm_add(out[i], out[j], cap), cap)
         elif kind is Odot:
-            s = mm_add(go(node.left), go(node.right), cap)
-            out = trunc(mm_add(s, constant(n, -1), cap), cap)
+            f = trunc(mm_add(mm_add(out[i], out[j], cap), constant(n, -1), cap), cap)
         elif kind is Join:
-            out = prune(mm_join(go(node.left), go(node.right)))
+            f = prune(mm_join(out[i], out[j]))
         elif kind is Meet:
-            out = prune(mm_meet(go(node.left), go(node.right), cap))
+            f = prune(mm_meet(out[i], out[j], cap))
         elif kind is Iff:
-            left, right = go(node.left), go(node.right)
-            fwd = trunc(mm_add(mm_neg_affine(left, cap), right, cap), cap)
-            bwd = trunc(mm_add(mm_neg_affine(right, cap), left, cap), cap)
-            out = prune(mm_meet(fwd, bwd, cap))
-        elif kind is Ominus:
-            out = trunc(mm_add(go(node.left), mm_negate(go(node.right), cap), cap), cap)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[key] = out
-        return out
-
-    return go(phi)
+            fwd = trunc(mm_add(mm_neg_affine(out[i], cap), out[j], cap), cap)
+            bwd = trunc(mm_add(mm_neg_affine(out[j], cap), out[i], cap), cap)
+            f = prune(mm_meet(fwd, bwd, cap))
+        else:  # Ominus
+            f = trunc(mm_add(out[i], mm_negate(out[j], cap), cap), cap)
+        append(f)
+    return out[-1]
 
 
 def linear_combination(fs, cs, cap=None) -> MaxMin:

@@ -280,6 +280,9 @@ def _hostile_calls(tmp_path):
         yield "synth", file(text)
     for text in MALFORMED_CERTIFICATES:
         yield "coherent", good_book, "--verify", file(text)
+    # high variable indices: pruning's box-corner table would have 2**n rows
+    yield "min", "v1 \\/ v30"
+    yield "components", "v1 \\/ v2", "--arity", "40"
 
 
 def test_every_subcommand_keeps_the_exit_code_contract_on_hostile_input(tmp_path, capsys):

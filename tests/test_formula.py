@@ -1,4 +1,8 @@
+import gc
 import random
+import time
+import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,8 +25,11 @@ from rieszmv import (
     evaluate,
     expand,
     format_formula,
+    maxmin_eval,
     parse,
+    program,
     scalar_mul,
+    term_pwl,
 )
 
 from helpers import luk_eval, rand_formula, rand_point, rand_unit
@@ -99,6 +106,14 @@ def test_eval_examples():
         assert evaluate(phi, (x,)) == 1
     assert evaluate(parse("N[1/2] v1"), (F(3, 5),)) == F(4, 5)
     assert evaluate(parse("D[1/2] v1"), (F(3, 5),)) == F(3, 10)
+    assert evaluate(parse("D[1/3] D[1/2] v1"), (F(3, 5),)) == F(1, 10)
+    assert evaluate(parse("N[0] v1"), (F(3, 5),)) == 1
+    assert evaluate(parse("N[1] v1"), (F(3, 5),)) == F(3, 5)
+    assert evaluate(parse("C[3/7]"), (F(1, 2),)) == F(3, 7)
+    # int coordinates, and coordinates with coprime denominators
+    assert evaluate(parse("v1 (+) v2"), (0, 1)) == 1
+    assert evaluate(parse("v1 -> v2"), (1, 0)) == 0
+    assert evaluate(parse("v1 (+) D[1/5] v2"), (F(1, 3), F(3, 7))) == F(1, 3) + F(3, 35)
 
 
 def test_eval_all_connectives():
@@ -127,6 +142,13 @@ def test_eval_arity_mismatch():
         evaluate(parse("v1"), (F(3, 2),))
     with pytest.raises(TypeError):
         evaluate(parse("v1"), (0.3,))
+    with pytest.raises(TypeError):
+        evaluate(parse("v1"), (Decimal("0.5"),))
+    with pytest.raises(TypeError):
+        evaluate(Neg("v1"), (F(1, 2),))
+    # a mismatch names the first offending variable from the left
+    with pytest.raises(ValueError, match="v3"):
+        evaluate(parse("v3 -> v2 \\/ v4"), (F(1, 2),))
 
 
 def test_eval_accepts_longer_points():
@@ -195,3 +217,72 @@ def test_node_validation():
         Delta(F(3, 2), Var(1))
     with pytest.raises(ValueError):
         RConst(F(-1, 2))
+
+
+def test_program_lists_each_distinct_node_once_children_first():
+    shared = parse("D[1/3] D[1/2] v1")
+    phi = Join(shared, Nabla(F(1, 4), Neg(shared)))
+    entries = program(phi)
+    assert [e[0] for e in entries] == [Var, Delta, Delta, Neg, Nabla, Join]
+    assert entries[-1][2:4] == (2, 4)
+    # value denominators: lcm over paths of the scalar denominators' product
+    assert [e[4] for e in entries] == [1, 2, 6, 6, 24, 24]
+    assert program(phi) is entries
+    assert program(RConst(F(2, 9)))[-1][4] == 9
+
+
+def test_shared_subformulas_evaluate_like_their_tree():
+    shared = parse("v1 (.) D[2/3] v2")
+    dag = Implies(shared, Oplus(shared, Neg(shared)))
+    tree = parse("v1 (.) D[2/3] v2 -> (v1 (.) D[2/3] v2) (+) !(v1 (.) D[2/3] v2)")
+    assert dag == tree
+    assert arity(dag) == 2
+    assert expand(dag) == expand(tree)
+    for x in ((F(1, 2), F(3, 4)), (F(1), F(1)), (0, F(2, 5))):
+        assert evaluate(dag, x) == evaluate(tree, x) == maxmin_eval(term_pwl(dag, 2), x)
+
+
+def test_evaluate_leaves_equality_hash_and_repr_alone_and_makes_no_cycle():
+    phi = parse("v1 -> N[1/2] v2 \\/ C[1/3]")
+    before = (hash(phi), repr(phi))
+    evaluate(phi, (F(1, 2), F(1, 3)))
+    assert (hash(phi), repr(phi)) == before
+    assert phi == parse("v1 -> N[1/2] v2 \\/ C[1/3]")
+    gc.disable()
+    try:
+        ref = weakref.ref(phi)
+        del phi
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_deep_formulas_built_in_code():
+    phi = Var(1)
+    for _ in range(10**5):
+        phi = Neg(phi)
+    assert arity(phi) == 1
+    assert evaluate(phi, (F(1, 3),)) == F(1, 3)
+    assert evaluate(expand(phi), (F(1, 4),)) == F(1, 4)
+    psi = Var(1)
+    for k in range(10**4):
+        psi = Neg(psi) if k % 3 else Delta(F(1, 2), psi) if k % 2 else Nabla(F(2, 3), psi)
+    f = term_pwl(psi, 1)
+    for x in ((F(0),), (F(1, 3),), (F(1),)):
+        assert maxmin_eval(f, x) == evaluate(psi, x)
+    chain = Var(2)
+    for k in range(10**3):
+        chain = Oplus(chain, Var(1)) if k % 2 else Meet(Var(1), chain)
+    f = term_pwl(chain, 2)
+    for x in ((F(0), F(1, 5)), (F(1, 3), F(1, 7)), (F(1), F(0))):
+        assert maxmin_eval(f, x) == evaluate(chain, x)
+
+
+def test_wide_join_with_large_denominators_is_fast():
+    r = F(1, 10**400 + 7)
+    phi = Delta(r, Var(1))
+    for _ in range(2000):
+        phi = Join(phi, Delta(r, Var(1)))
+    start = time.perf_counter()
+    assert evaluate(phi, (F(1, 2),)) == r / 2
+    assert time.perf_counter() - start < 1.0

@@ -109,3 +109,60 @@ def test_deterministic_over_repeat_runs():
     for _ in range(3):
         again = solve_lp(rows, rhs, cost)
         assert again == first
+
+
+def _satisfies(rows, rhs, x):
+    return all(xj >= 0 for xj in x) and all(
+        sum(rij * xj for rij, xj in zip(row, x)) == b for row, b in zip(rows, rhs)
+    )
+
+
+def test_artificial_left_basic_after_phase_one_cannot_rise():
+    # columns x0, z, s1..s6; every feasible point has z = 1 (row 4 forces
+    # z >= 1, rows 1, 2 and 6 force z <= 1), and phase 1 ends with an
+    # artificial basic at level 0
+    rows = [
+        [0, 1, 1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 1, 0, 0, 0, 0],
+        [0, -1, 0, 0, 1, 0, 0, 0],
+        [0, -1, 0, 0, 0, 1, 0, 0],
+        [1, 0, 0, 0, 0, 0, 1, 0],
+        [0, 1, 0, 0, 0, 0, 0, 1],
+    ]
+    rows = [[F(v) for v in row] for row in rows]
+    rhs = [F(1), F(1), F(0), F(-1), F(1), F(1)]
+    cost = [F(0), F(1)] + [F(0)] * 6
+    result = solve_lp(rows, rhs, cost)
+    assert result.status == OPTIMAL
+    assert _satisfies(rows, rhs, result.x)
+    assert result.x[1] == 1
+    assert result.objective == 1
+
+
+def test_random_degenerate_optima_are_feasible():
+    # Duplicated (scaled) rows and a sparse hidden solution leave artificial
+    # variables basic at level 0 after phase 1; every optimum must still
+    # satisfy A x = b and x >= 0 and report its objective c*x.
+    rng = random.Random(211)
+    optimal = 0
+    for _ in range(300):
+        m = rng.randint(2, 5)
+        n = rng.randint(2, 6)
+        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(m)]
+        for _ in range(rng.randint(1, 2)):
+            source = rng.choice(rows)
+            rows.append([F(rng.choice((-2, -1, 1, 2))) * v for v in source])
+        hidden = [F(rng.randint(0, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(n)]
+        rhs = [sum(row[j] * hidden[j] for j in range(n)) for row in rows]
+        cost = [F(rng.randint(-3, 3)) for _ in range(n)]
+        if not any(cost):
+            cost[0] = F(1)
+        result = solve_lp(rows, rhs, cost)
+        assert result.status != INFEASIBLE
+        if result.status != OPTIMAL:
+            continue
+        optimal += 1
+        assert _satisfies(rows, rhs, result.x)
+        assert result.objective == sum(ci * xi for ci, xi in zip(cost, result.x))
+        assert result.objective <= sum(ci * hi for ci, hi in zip(cost, hidden))
+    assert optimal > 100

@@ -301,6 +301,13 @@ def test_piece_cap_aborts_loudly():
     assert err.value.size > 1
     with pytest.raises(BudgetExceededError):
         mm_add(f, f, cap=2)
+    # pruning compares pieces at all 2**n box corners; a high variable
+    # index aborts before that table is built
+    with pytest.raises(BudgetExceededError) as err:
+        prune(mm_join(projection(30, 1), projection(30, 30)))
+    assert err.value.size == 2**30
+    with pytest.raises(BudgetExceededError):
+        term_pwl(parse("v1 \\/ v30"), 30)
 
 
 def test_json_round_trip():
