@@ -2,7 +2,8 @@
 
 One subcommand per invocation; line-oriented text by default, JSON with
 ``--json``.  Rationals print as ``p/q`` in lowest terms, never as floats.
-Exit status: 0 success, 1 domain error, 2 budget exceeded, 64 usage error.
+Exit status: 0 success, 1 domain error, 2 budget exceeded (or out of
+memory), 64 usage error.
 """
 
 from __future__ import annotations
@@ -226,6 +227,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("budget exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (ParseError, RangeViolationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ distinct nodes so printing preserves the input, but their meaning is fixed
 by expansion into the primitives.
 
 :func:`arity`, :func:`evaluate`, :func:`expand` and ``pwl.term_pwl`` are each
-one loop over the cached node list of :func:`program`, so formulas built in
-code may be of any depth; only the parser and the printer recurse.
+one loop over the cached node list of :func:`program`, and
+:func:`format_formula` keeps an explicit stack, so formulas built in code may
+be of any depth; only the parser recurses.
 
 Concrete grammar (ASCII, precedence low to high, ``->`` right-associative)::
 
@@ -491,25 +492,35 @@ def parse(text: str) -> Formula:
 
 
 def format_formula(phi: Formula) -> str:
-    """Render ``phi`` with minimal parentheses; inverse of :func:`parse`."""
+    """Render ``phi`` with minimal parentheses; inverse of :func:`parse`.
 
-    def fmt(node, minimum):
-        # unary nodes and atoms bind tightest and never need parentheses
+    The walk keeps an explicit stack of pending nodes and literal text, so
+    formulas of any depth print.
+    """
+    out = []
+    stack = [(phi, 0)]
+    while stack:
+        node, minimum = stack.pop()
         kind = type(node)
-        if kind is Var:
-            return f"v{node.index}"
-        if kind is RConst:
-            return f"C[{node.r}]"
-        if kind is Neg:
-            return "!" + fmt(node.child, 6)
-        if kind is Delta:
-            return f"D[{node.r}] " + fmt(node.child, 6)
-        if kind is Nabla:
-            return f"N[{node.r}] " + fmt(node.child, 6)
-        if kind not in _INFIX:
+        # unary nodes and atoms bind tightest and never need parentheses
+        if minimum is None:
+            out.append(node)  # literal text
+        elif kind is Var:
+            out.append(f"v{node.index}")
+        elif kind is RConst:
+            out.append(f"C[{node.r}]")
+        elif kind is Neg:
+            out.append("!")
+            stack.append((node.child, 6))
+        elif kind is Delta or kind is Nabla:
+            out.append(f"{'D' if kind is Delta else 'N'}[{node.r}] ")
+            stack.append((node.child, 6))
+        elif kind in _INFIX:
+            symbol, level, left, right = _INFIX[kind]
+            if level < minimum:
+                out.append("(")
+                stack.append((")", None))
+            stack += ((node.right, right), (symbol, None), (node.left, left))
+        else:
             raise TypeError(f"not a formula node: {node!r}")
-        symbol, level, left, right = _INFIX[kind]
-        s = fmt(node.left, left) + symbol + fmt(node.right, right)
-        return "(" + s + ")" if level < minimum else s
-
-    return fmt(phi, 0)
+    return "".join(out)

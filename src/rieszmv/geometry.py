@@ -3,9 +3,12 @@
 A Max-Min function is affine on every cell of the arrangement cut out by
 the pairwise differences of its pieces together with the box facets, so its
 extrema over [0, 1]^n are attained at cell vertices: intersections of n
-independent hyperplanes from that family.  :func:`extrema`, the one scan of
-those vertices, gives certified minima and maxima, and with them validity,
-invalidity, semantic equivalence and the unit seminorm of formulas.
+independent hyperplanes from that family.  :func:`vertices_from_components`
+finds them in integer arithmetic, walking the n-subsets of the hyperplanes
+(budgeted by their number, C(H, n)) with a null-space basis of each prefix.
+:func:`extrema`, the one scan of those vertices, gives certified minima and
+maxima, and with them validity, invalidity, semantic equivalence and the unit
+seminorm of formulas.
 """
 
 from __future__ import annotations
@@ -34,46 +37,27 @@ def effective_budget(budget=None):
     return DEFAULT_VERTEX_BUDGET
 
 
-def _normalize_equation(coeffs):
-    # Scale so the first nonzero linear coefficient is 1; merges multiples.
-    pivot = next((c for c in coeffs[1:] if c != 0), None)
-    if pivot is None:
-        return None
-    return tuple(c / pivot for c in coeffs)
-
-
-def _equations_from_components(n, affines):
-    eqs = set()
-    for a, b in itertools.combinations(affines, 2):
-        diff = tuple(ca - cb for ca, cb in zip(a.coeffs, b.coeffs))
-        norm = _normalize_equation(diff)
-        if norm is not None:
-            eqs.add(norm)
+def _hyperplanes(n, affines):
+    # primitive integer rows (c0, ..., cn) of the pairwise differences, first
+    # nonzero linear coefficient positive, and of the 2n box facets, sorted
+    distinct = {a.coeffs for a in affines}
+    scale = math.lcm(*[c.denominator for coeffs in distinct for c in coeffs])
+    pieces = [[c.numerator * (scale // c.denominator) for c in coeffs] for coeffs in distinct]
+    rows = set()
+    for a, b in itertools.combinations(pieces, 2):
+        diff = [ca - cb for ca, cb in zip(a, b)]
+        lead = next((c for c in diff[1:] if c), 0)
+        if lead:
+            rows.add(_primitive(diff if lead > 0 else [-c for c in diff]))
     for i in range(1, n + 1):
-        row = [ZERO] * (n + 1)
-        row[i] = ONE
-        eqs.add(tuple(row))          # x_i = 0
-        row = list(row)
-        row[0] = -ONE
-        eqs.add(tuple(row))          # x_i = 1
-    return sorted(eqs)
+        facet = tuple(int(j == i) for j in range(n + 1))
+        rows |= {facet, (-1,) + facet[1:]}  # x_i = 0 and x_i = 1
+    return sorted(rows)
 
 
-def _solve_square(equations, n):
-    # Gaussian elimination on n equations c0 + sum c_i x_i = 0; None if singular.
-    rows = [list(eq[1:]) + [-eq[0]] for eq in equations]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            return None
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        rows[col] = [v / pivot for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[col])]
-    return tuple(rows[r][n] for r in range(n))
+def _primitive(v):
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
 
 
 def vertices_from_components(n, affines, budget=None):
@@ -82,22 +66,53 @@ def vertices_from_components(n, affines, budget=None):
     Intersects every n-subset of the difference/facet hyperplane family,
     keeps the nonsingular solutions inside the box, and returns them sorted
     and deduplicated.  Always contains all box corners.
+
+    The walk is depth first in homogeneous coordinates (x0, ..., xn), carrying
+    an integer null-space basis of the rows chosen so far; a row orthogonal to
+    it depends on them, so its subtree is singular.  At two basis vectors (u, w)
+    a later row h cuts (h.u) w - (h.w) u: a vertex when x0 != 0, 0 <= xi <= x0.
     """
     if n < 1:
         raise ValueError("vertex enumeration needs dimension >= 1")
     budget = effective_budget(budget)
-    eqs = _equations_from_components(n, affines)
-    systems = math.comb(len(eqs), n)
+    rows = _hyperplanes(n, affines)
+    systems = math.comb(len(rows), n)
     if systems > budget:
         raise BudgetExceededError(
-            f"vertex enumeration over {len(eqs)} hyperplanes in dimension {n}", systems, budget
+            f"vertex enumeration over {len(rows)} hyperplanes in dimension {n}", systems, budget
         )
     points = set()
-    for combo in itertools.combinations(eqs, n):
-        x = _solve_square(combo, n)
-        if x is not None and all(ZERO <= xi <= ONE for xi in x):
-            points.add(x)
-    return tuple(sorted(points))
+    stack = [(0, [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)])]
+    while stack:
+        start, basis = stack.pop()
+        if len(basis) == 2:
+            u, w = basis
+            for h in rows[start:]:
+                su = sum(map(operator.mul, h, u))
+                sw = sum(map(operator.mul, h, w))
+                x0 = su * w[0] - sw * u[0]
+                if x0 < 0:
+                    su, sw, x0 = -su, -sw, -x0
+                elif not x0:
+                    continue  # singular system, or dependent rows
+                p = [su * b - sw * a for a, b in zip(u, w)]
+                if all(0 <= c <= x0 for c in p):
+                    points.add(_primitive(p))
+            continue
+        for i in range(start, len(rows) - len(basis) + 2):
+            s = [sum(map(operator.mul, rows[i], b)) for b in basis]
+            k = next((k for k, sk in enumerate(s) if sk), None)
+            if k is None:
+                continue  # rows[i] depends on the rows chosen so far
+            sk, bk = s[k], basis[k]
+            reduced = [
+                _primitive([sk * x - sj * y for x, y in zip(b, bk)])
+                for j, (b, sj) in enumerate(zip(basis, s))
+                if j != k
+            ]
+            stack += ((i + 1, basis), (i + 1, reduced))  # this level resumes after the subtree
+            break
+    return tuple(sorted(tuple(Fraction(c, p[0]) for c in p[1:]) for p in points))
 
 
 def candidate_vertices(f: MaxMin, budget=None):

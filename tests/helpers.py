@@ -1,14 +1,17 @@
 """Shared generators and reference oracles for the test suite.
 
-The reference Lukasiewicz machinery at the bottom deliberately avoids the
-package's evaluator and Max-Min pipeline so that cross-checks against it
-exercise an independent route.
+The reference Lukasiewicz machinery and vertex enumeration at the bottom
+deliberately avoid the package's evaluator, Max-Min pipeline and vertex walk
+so that cross-checks against them exercise an independent route.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from rieszmv import (
     Affine,
+    BudgetExceededError,
     Delta,
     Iff,
     Implies,
@@ -23,8 +26,8 @@ from rieszmv import (
     RConst,
     Var,
     arity,
-    vertices_from_components,
 )
+from rieszmv.geometry import effective_budget
 
 F = Fraction
 
@@ -183,4 +186,68 @@ def luk_is_valid(phi, budget=None):
     pieces = luk_component_superset(phi, n)
     assert all(c.denominator == 1 for piece in pieces for c in piece)
     affines = [Affine(n, piece) for piece in pieces]
-    return all(luk_eval(phi, v) == 1 for v in vertices_from_components(n, affines, budget))
+    return all(luk_eval(phi, v) == 1 for v in brute_vertices(n, affines, budget))
+
+
+# ---------------------------------------------------------------------------
+# Reference vertex enumeration: one Fraction Gauss-Jordan solve per n-subset.
+
+
+def _normalize_equation(coeffs):
+    # Scale so the first nonzero linear coefficient is 1; merges multiples.
+    pivot = next((c for c in coeffs[1:] if c != 0), None)
+    if pivot is None:
+        return None
+    return tuple(c / pivot for c in coeffs)
+
+
+def _equations_from_components(n, affines):
+    eqs = set()
+    for a, b in itertools.combinations(affines, 2):
+        norm = _normalize_equation(tuple(ca - cb for ca, cb in zip(a.coeffs, b.coeffs)))
+        if norm is not None:
+            eqs.add(norm)
+    for i in range(1, n + 1):
+        row = [F(0)] * (n + 1)
+        row[i] = F(1)
+        eqs.add(tuple(row))  # x_i = 0
+        row[0] = F(-1)
+        eqs.add(tuple(row))  # x_i = 1
+    return sorted(eqs)
+
+
+def _solve_square(equations, n):
+    # Gauss-Jordan on n equations c0 + sum c_i x_i = 0; None if singular.
+    rows = [list(eq[1:]) + [-eq[0]] for eq in equations]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            return None
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col][col]
+        rows[col] = [v / pivot for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[col])]
+    return tuple(rows[r][n] for r in range(n))
+
+
+def brute_vertices(n, affines, budget=None):
+    """Reference for ``vertices_from_components``: same budget rule and
+    errors, sorted box points of every nonsingular n-subset."""
+    if n < 1:
+        raise ValueError("vertex enumeration needs dimension >= 1")
+    budget = effective_budget(budget)
+    eqs = _equations_from_components(n, affines)
+    systems = math.comb(len(eqs), n)
+    if systems > budget:
+        raise BudgetExceededError(
+            f"vertex enumeration over {len(eqs)} hyperplanes in dimension {n}", systems, budget
+        )
+    points = set()
+    for combo in itertools.combinations(eqs, n):
+        x = _solve_square(combo, n)
+        if x is not None and all(0 <= xi <= 1 for xi in x):
+            points.add(x)
+    return tuple(sorted(points))

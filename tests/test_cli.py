@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import rieszmv
-from rieszmv import candidate_vertices, coherence, evaluate, parse
+from rieszmv import candidate_vertices, cli, coherence, evaluate, parse
 from rieszmv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
 
 F = Fraction
@@ -168,6 +168,19 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.delenv("RIESZ_BUDGET")
     code, out, _ = run(capsys, "min", "(v1 (+) v2 (+) v3) <-> (v1 (.) v2 (.) v3)")
     assert code == EXIT_OK
+
+
+def test_out_of_memory_is_a_budget_error(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    # patched where the subcommands look the names up; nothing is allocated
+    monkeypatch.setattr(cli, "evaluate", exhausted)
+    monkeypatch.setattr(cli.geometry, "is_valid", exhausted)
+    for argv in (("eval", "v1", "--at", "1/2"), ("valid", "v1 -> v1")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert (out, err) == ("", "budget exceeded: out of memory\n")
 
 
 def test_deterministic_output(tmp_path, capsys):

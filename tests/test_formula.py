@@ -1,5 +1,8 @@
 import gc
+import hashlib
 import random
+import sys
+import threading
 import time
 import weakref
 from decimal import Decimal
@@ -217,6 +220,10 @@ def test_node_validation():
         Delta(F(3, 2), Var(1))
     with pytest.raises(ValueError):
         RConst(F(-1, 2))
+    # the printer's stack holds text too; a text child is still no formula
+    for bad in (Neg("v1"), Implies(Var(1), ")")):
+        with pytest.raises(TypeError, match="not a formula node"):
+            format_formula(bad)
 
 
 def test_program_lists_each_distinct_node_once_children_first():
@@ -276,6 +283,66 @@ def test_deep_formulas_built_in_code():
     f = term_pwl(chain, 2)
     for x in ((F(0), F(1, 5)), (F(1, 3), F(1, 7)), (F(1), F(0))):
         assert maxmin_eval(f, x) == evaluate(chain, x)
+
+
+def _parse_nested(text, frames):
+    # The parser recurses once per nesting level (nine frames per pair of
+    # parentheses): run it on a thread with room for ``frames`` frames, and
+    # restore the limits afterwards.
+    result = []
+
+    def run():
+        try:
+            result.append(parse(text))
+        except Exception as exc:  # re-raised below, on the test's thread
+            result.append(exc)
+
+    limit = sys.getrecursionlimit()
+    stack_size = threading.stack_size(512 * 2**20)
+    sys.setrecursionlimit(frames + 1000)
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join()
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(stack_size)
+    (phi,) = result
+    if isinstance(phi, Exception):
+        raise phi
+    return phi
+
+
+def test_deep_formulas_print_and_parse_back():
+    neg = Var(1)
+    for _ in range(10**5):
+        neg = Neg(neg)
+    text = format_formula(neg)
+    assert text == "!" * 10**5 + "v1"
+    assert program(_parse_nested(text, 10**5)) == program(neg)
+    # right-nested -> prints bare; left-nested needs one pair per level
+    right = left = Var(1)
+    for k in range(2, 10**4 + 1):
+        right = Implies(Var(k % 7 + 1), right)
+        left = Implies(left, Var(k % 7 + 1))
+    text = format_formula(right)
+    assert text.count(" -> ") == 10**4 - 1 and "(" not in text
+    assert program(_parse_nested(text, 10**4)) == program(right)
+    text = format_formula(left)
+    assert text.startswith("(" * (10**4 - 2) + "v1 -> v3) -> v4) -> ")
+    assert program(_parse_nested(text, 10 * 10**4)) == program(left)
+
+
+def test_printer_output_is_pinned():
+    # sha256 of the output of the recursive printer this one replaced
+    rng = random.Random(113)
+    phis = [
+        rand_formula(rng, rng.randint(1, 4), rng.randint(0, 7), scalars=bool(k % 2))
+        for k in range(3000)
+    ]
+    text = "\n".join(format_formula(phi) for phi in phis)
+    digest = "01b371dde73d94e02b77776d49d42286fe8b19f890407f1559def73c41db8aa0"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_wide_join_with_large_denominators_is_fast():

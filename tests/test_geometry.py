@@ -8,6 +8,7 @@ from rieszmv import (
     BudgetExceededError,
     MaxMin,
     candidate_vertices,
+    components,
     constant,
     delta_norm,
     evaluate,
@@ -24,9 +25,17 @@ from rieszmv import (
     term_pwl,
     trunc,
     unit_norm,
+    vertices_from_components,
 )
 
-from helpers import grid_points, rand_formula, rand_point, rand_unit
+from helpers import (
+    brute_vertices,
+    grid_points,
+    rand_affine,
+    rand_formula,
+    rand_point,
+    rand_unit,
+)
 
 F = Fraction
 
@@ -47,6 +56,130 @@ def test_candidate_vertices_contains_corners():
         vertices = set(candidate_vertices(f))
         for corner in grid_points(n, 1):
             assert corner in vertices
+
+
+# Most pieces per component set by dimension, so the Fraction oracle stays quick.
+_MAX_PIECES = {1: 8, 2: 6, 3: 4, 4: 3, 5: 2}
+
+
+def _piece(rng, n):
+    return rand_affine(rng, n, bound=2, max_den=6).coeffs
+
+
+def _component_set(rng, n, kind):
+    """Affine pieces in dimension n shaped to hit one corner of the hyperplane family."""
+    count = rng.randint(1, _MAX_PIECES[n])
+    if kind == "constant":
+        pieces = [(rng.choice([F(0), F(1, 3), F(1)]),) + (F(0),) * n for _ in range(count)]
+    elif kind == "coprime":
+        dens = (7, 11, 13, 17, 19, 23)
+        pieces = [
+            tuple(F(rng.randint(-40, 40), rng.choice(dens)) for _ in range(n + 1))
+            for _ in range(count)
+        ]
+    elif kind == "huge":
+        big = 10**29
+        pieces = [
+            tuple(F(rng.randint(-big, big), rng.randint(1, 9)) for _ in range(n + 1))
+            for _ in range(count)
+        ]
+    else:
+        pieces = [_piece(rng, n) for _ in range(count)]
+    if kind in ("duplicates", "proportional", "parallel", "flat") and len(pieces) < _MAX_PIECES[n]:
+        a = pieces[0]
+        b = pieces[-1] if len(pieces) > 1 else _piece(rng, n)
+        t = F(rng.randint(-3, 3), rng.randint(1, 4))
+        if kind == "duplicates":
+            extra = a
+        elif kind == "proportional":
+            # a + t (b - a) - a is a multiple of b - a: one hyperplane twice
+            extra = tuple(ca + t * (cb - ca) for ca, cb in zip(a, b))
+        elif kind == "parallel":
+            # same linear part as b - a, shifted constant
+            extra = (b[0] + t,) + b[1:]
+        else:
+            # differs from a by a constant only
+            extra = (a[0] + t,) + a[1:]
+        pieces.append(extra)
+    rng.shuffle(pieces)
+    return [Affine(n, piece) for piece in pieces]
+
+
+_KINDS = ("plain", "duplicates", "proportional", "parallel", "flat", "constant", "coprime", "huge")
+
+
+def test_vertex_enumeration_matches_the_fraction_oracle():
+    rng = random.Random(97)
+    for trial in range(320):
+        n = trial % 5 + 1
+        kind = _KINDS[trial // 5 % len(_KINDS)]
+        affines = _component_set(rng, n, kind)
+        assert vertices_from_components(n, affines) == brute_vertices(n, affines), (n, kind)
+        # the same hyperplane count, so the same budget error
+        with pytest.raises(BudgetExceededError) as ours:
+            vertices_from_components(n, affines, budget=0)
+        with pytest.raises(BudgetExceededError) as oracle:
+            brute_vertices(n, affines, budget=0)
+        assert str(ours.value) == str(oracle.value)
+
+
+def test_vertex_enumeration_matches_the_oracle_on_term_functions():
+    rng = random.Random(101)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        pieces = components(term_pwl(rand_formula(rng, n, 3), n))
+        assert vertices_from_components(n, pieces) == brute_vertices(n, pieces)
+
+
+def test_vertex_enumeration_edge_cases():
+    # no pieces, one piece, and only constants: the box corners
+    for n in (1, 2, 3):
+        corners = tuple(grid_points(n, 1))
+        assert vertices_from_components(n, []) == corners
+        x1 = Affine(n, (F(0), F(1)) + (F(0),) * (n - 1))
+        assert vertices_from_components(n, [x1]) == corners
+        flat = [Affine(n, (F(k, 3),) + (F(0),) * n) for k in range(3)]
+        assert vertices_from_components(n, flat) == corners
+    # x = 1/3 three times over: coincident hyperplanes from scaled pieces
+    pieces = [Affine(1, (F(0), F(0))), Affine(1, (F(-1), F(3))), Affine(1, (F(-2), F(6)))]
+    assert vertices_from_components(1, pieces) == ((F(0),), (F(1, 3),), (F(1),))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            vertices_from_components(n, [])
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            brute_vertices(n, [])
+
+
+def test_vertex_budget_matches_the_oracle_count():
+    rng = random.Random(103)
+    n = 3
+    affines = _component_set(rng, n, "plain") + _component_set(rng, n, "parallel")
+    with pytest.raises(BudgetExceededError) as expected:
+        brute_vertices(n, affines, budget=0)
+    systems = expected.value.size
+    assert systems > 1
+    with pytest.raises(BudgetExceededError) as oracle:
+        brute_vertices(n, affines, budget=systems - 1)
+    with pytest.raises(BudgetExceededError) as err:
+        vertices_from_components(n, affines, budget=systems - 1)
+    assert (err.value.size, err.value.budget) == (systems, systems - 1)
+    assert str(err.value) == str(oracle.value)
+    exact = vertices_from_components(n, affines, budget=systems)
+    assert exact == brute_vertices(n, affines, budget=systems)
+
+
+def test_vertex_budget_is_checked_before_any_system():
+    # about 2.6e19 five-row systems: this returns only if nothing is solved
+    n = 5
+    rng = random.Random(107)
+    affines = [rand_affine(rng, n, bound=50, max_den=50) for _ in range(200)]
+    with pytest.raises(BudgetExceededError) as expected:
+        brute_vertices(n, affines, budget=0)
+    systems = expected.value.size
+    assert systems > 10**18
+    with pytest.raises(BudgetExceededError) as err:
+        vertices_from_components(n, affines, budget=systems - 1)
+    assert err.value.size == systems
 
 
 def test_minimum_examples():
