@@ -10,8 +10,8 @@ by expansion into the primitives.
 
 :func:`arity`, :func:`evaluate`, :func:`expand` and ``pwl.term_pwl`` are each
 one loop over the cached node list of :func:`program`, and
-:func:`format_formula` keeps an explicit stack, so formulas built in code may
-be of any depth; only the parser recurses.
+:func:`format_formula`, ``==``, ``hash()`` and ``repr()`` keep explicit stacks,
+so formulas built in code may be of any depth; only the parser recurses.
 
 Concrete grammar (ASCII, precedence low to high, ``->`` right-associative)::
 
@@ -47,9 +47,15 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Formula:
-    """Base class for formula nodes.  Instances are immutable."""
+    """Base class for formula nodes.  Instances are immutable.
+
+    ``==`` and ``repr()`` are those a dataclass would generate over the
+    node's fields (its ``__match_args__``), and ``hash()`` agrees with
+    ``==``; all three keep explicit stacks so that formulas of any depth
+    compare, hash and print.
+    """
 
     # node list built by the first program() call; not part of equality
     _program: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -57,8 +63,65 @@ class Formula:
     def __str__(self):
         return format_formula(self)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        seen = set()  # id pairs already compared; both roots keep the nodes alive
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b):
+                return False
+            seen.add((id(a), id(b)))
+            for name in reversed(a.__match_args__):  # left fields are compared first
+                u, v = getattr(a, name), getattr(b, name)
+                if isinstance(u, Formula):
+                    stack.append((u, v))
+                elif u != v:
+                    return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        hashes = {}  # id(node) -> hash; self keeps every node alive
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in hashes:
+                stack.pop()
+                continue
+            values = [getattr(node, name) for name in node.__match_args__]
+            pending = [v for v in values if isinstance(v, Formula) and id(v) not in hashes]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            hashes[id(node)] = hash(tuple(hashes[id(v)] if isinstance(v, Formula) else v for v in values))
+        return hashes[id(self)]
+
+    def __repr__(self):
+        out = []
+        stack = [self]  # nodes, and literal text as str
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Formula):
+                out.append(item)
+                continue
+            out.append(f"{type(item).__qualname__}(")
+            parts = []
+            for k, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                parts += (f"{', ' if k else ''}{name}=", value if isinstance(value, Formula) else repr(value))
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
+
+
+_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_node
 class Var(Formula):
     index: int
 
@@ -67,18 +130,18 @@ class Var(Formula):
             raise ValueError(f"variable index must be a positive integer, got {self.index!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Nabla(Formula):
     """Scalar connective with value 1 - r + r*x."""
 
@@ -89,7 +152,7 @@ class Nabla(Formula):
         object.__setattr__(self, "r", UnitRational(self.r))
 
 
-@dataclass(frozen=True)
+@_node
 class Delta(Formula):
     """Scalar connective with value r*x; definable as ``!N[r]!``."""
 
@@ -100,7 +163,7 @@ class Delta(Formula):
         object.__setattr__(self, "r", UnitRational(self.r))
 
 
-@dataclass(frozen=True)
+@_node
 class RConst(Formula):
     """Constant formula with value r; definable as ``D[r](v1 -> v1)``.
 
@@ -113,37 +176,37 @@ class RConst(Formula):
         object.__setattr__(self, "r", UnitRational(self.r))
 
 
-@dataclass(frozen=True)
+@_node
 class Oplus(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Odot(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Join(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Meet(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Ominus(Formula):
     """Truncated difference, sugar for ``left (.) !right``."""
 

@@ -1,18 +1,22 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact two-phase simplex over the rationals: a fraction-free integer simplex.
 
-Solves ``min c*x subject to A x = b, x >= 0`` with Fraction arithmetic and
-Bland's rule, so it terminates without cycling and every reported number is
-exact.  When the constraints are infeasible the phase-1 multipliers are
-returned as a Farkas certificate: a vector y with y*A <= 0 componentwise
-and y*b > 0, proof that no nonnegative solution exists.
+Solves ``min c*x subject to A x = b, x >= 0`` by Bland's rule, so it ends
+without cycling.  A and b are scaled by the lcm of their denominators, and the
+tableau is held in integers T = D*F over one denominator D > 0, F being the
+rational tableau of the scaled system: a pivot on p maps each other row to
+(p*T[r] - T[r][col]*T[row]) // D, exact by Sylvester's identity (Bareiss), and
+sets D = p.  Every sign test and ratio order is that of F, so the pivot path
+and the exact results are too.  An infeasible system yields the phase-1
+multipliers as a Farkas certificate: y with y*A <= 0 componentwise, y*b > 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import ONE, ZERO
+from .kernel import ZERO
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -27,73 +31,72 @@ class SimplexResult:
     farkas: tuple | None = None
 
 
-def _pivot(tableau, basis, row, col):
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
+def _pivot(tableau, basis, row, col, d):
+    # Returns the new D; a negative pivot (an artificial's pivot-out) negates all.
+    prow = tableau[row]
+    p = prow[col]
     for r, current in enumerate(tableau):
-        if r != row and current[col] != 0:
-            factor = current[col]
-            tableau[r] = [v - factor * p for v, p in zip(current, tableau[row])]
+        if r != row:
+            f = current[col]
+            if f:
+                tableau[r] = [(v * p - f * w) // d for v, w in zip(current, prow)]
+            elif p != d:
+                tableau[r] = [v * p // d for v in current]
     basis[row] = col
+    if p < 0:
+        tableau[:] = [[-v for v in current] for current in tableau]
+    return abs(p)
 
 
-def _run_simplex(tableau, basis, m, allowed):
-    # Bland's rule: lowest eligible column enters, ties on the ratio test
-    # break toward the lowest basic index.  The objective row is last.
+def _run_simplex(tableau, basis, m, n, d):
+    # Bland's rule: lowest eligible column enters; ratio ties (cross-multiplied,
+    # so D cancels) go to the lowest basic index.  The objective row is last.
     while True:
         obj = tableau[m]
-        col = next((j for j in allowed if obj[j] < 0), None)
+        col = next((j for j in range(n) if obj[j] < 0), None)
         if col is None:
-            return OPTIMAL
-        best_ratio = None
+            return OPTIMAL, d
         row = None
         for r in range(m):
             coef = tableau[r][col]
             if coef > 0:
-                ratio = tableau[r][-1] / coef
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[r] < basis[row]
-                ):
-                    best_ratio = ratio
-                    row = r
+                key = -1 if row is None else tableau[r][-1] * best - rhs * coef
+                if key < 0 or (key == 0 and basis[r] < basis[row]):
+                    row, rhs, best = r, tableau[r][-1], coef
         if row is None:
-            return UNBOUNDED
-        _pivot(tableau, basis, row, col)
+            return UNBOUNDED, d
+        d = _pivot(tableau, basis, row, col, d)
 
 
 def solve_lp(a_rows, b, c) -> SimplexResult:
-    """Minimize ``c*x`` subject to ``A x = b`` and ``x >= 0``.
-
-    ``a_rows`` is a list of m rows of length n.  Returns exact optimum and
-    solution, or a Farkas vector of length m when infeasible.
-    """
-    m = len(a_rows)
-    n = len(c)
-    signs = [ONE if bi >= 0 else -ONE for bi in b]
+    """Minimize ``c*x`` subject to ``A x = b`` and ``x >= 0``: the exact optimum
+    and solution, or a Farkas vector of length m when infeasible.  ``a_rows``
+    holds m rows of ``len(c)`` entries and ``b`` m entries (else ``ValueError``),
+    each ``int`` or ``Fraction`` (else ``TypeError``)."""
+    m, n = len(a_rows), len(c)
+    if len(b) != m or any(len(row) != n for row in a_rows):
+        lengths = sorted({len(row) for row in a_rows})
+        raise ValueError(f"{m} rows of lengths {lengths}, {len(b)} right-hand sides, {n} costs")
+    for v in [*b, *c, *(v for row in a_rows for v in row)]:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"entry {v!r} is not exact; pass Fraction or int entries")
+    scale = math.lcm(*[v.denominator for row in a_rows for v in row], *[v.denominator for v in b])
+    signs = [1 if bi >= 0 else -1 for bi in b]
     rows = [
-        [s * v for v in row] + [ZERO] * m + [s * bi]
+        [s * v.numerator * (scale // v.denominator) for v in [*row, bi]]
         for row, bi, s in zip(a_rows, b, signs)
     ]
-    for i in range(m):
-        rows[i][n + i] = ONE
-
     # Phase 1: minimize the artificial sum; reduced costs start at -sum(rows).
-    obj = [ZERO] * (n + m + 1)
-    for row in rows:
-        for j in range(n):
-            obj[j] -= row[j]
-        obj[-1] -= row[-1]
-    tableau = rows + [obj]
+    obj = [-sum(row[j] for row in rows) for j in range(n)] + [0] * m + [-sum(r[-1] for r in rows)]
+    tableau = [row[:n] + [int(i == k) for k in range(m)] + row[n:] for i, row in enumerate(rows)]
+    tableau.append(obj)
     basis = [n + i for i in range(m)]
-
-    status = _run_simplex(tableau, basis, m, range(n))
+    status, d = _run_simplex(tableau, basis, m, n, 1)
     assert status == OPTIMAL  # phase 1 is bounded below by zero
-    infeasibility = -tableau[m][-1]
-    if infeasibility > 0:
+    if tableau[m][-1] < 0:
         # Multipliers: the reduced cost of artificial i is 1 - y_i.
-        farkas = tuple(signs[i] * (ONE - tableau[m][n + i]) for i in range(m))
-        return SimplexResult(INFEASIBLE, farkas=farkas)
-
+        y = (Fraction(s * (d - tableau[m][n + i]), d) for i, s in enumerate(signs))
+        return SimplexResult(INFEASIBLE, farkas=tuple(y))
     if any(ci != 0 for ci in c):
         # An artificial still basic after phase 1 sits at level 0; pivot it
         # out on any nonzero original column (a degenerate pivot, so x does
@@ -102,20 +105,17 @@ def solve_lp(a_rows, b, c) -> SimplexResult:
             if basis[r] >= n:
                 col = next((j for j in range(n) if tableau[r][j] != 0), None)
                 if col is not None:
-                    _pivot(tableau, basis, r, col)
-        obj = [Fraction(ci) for ci in c] + [ZERO] * (m + 1)
+                    d = _pivot(tableau, basis, r, col, d)
+        lc = math.lcm(*[ci.denominator for ci in c])
+        cost = [ci.numerator * (lc // ci.denominator) for ci in c]
+        obj = [d * cj for cj in cost] + [0] * (m + 1)  # reduced costs times D * lc
         for r in range(m):
-            if basis[r] < n and obj[basis[r]] != 0:
-                factor = obj[basis[r]]
-                obj = [v - factor * p for v, p in zip(obj, tableau[r])]
+            if basis[r] < n and cost[basis[r]] != 0:
+                obj = [v - cost[basis[r]] * p for v, p in zip(obj, tableau[r])]
         tableau[m] = obj
-        status = _run_simplex(tableau, basis, m, range(n))
+        status, d = _run_simplex(tableau, basis, m, n, d)
         if status == UNBOUNDED:
             return SimplexResult(UNBOUNDED)
-
-    x = [ZERO] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tableau[r][-1]
-    objective = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
-    return SimplexResult(OPTIMAL, x=tuple(x), objective=objective)
+    values = {j: Fraction(row[-1], d) for j, row in zip(basis, tableau) if j < n}
+    x = tuple(values.get(j, ZERO) for j in range(n))
+    return SimplexResult(OPTIMAL, x=x, objective=sum((ci * xi for ci, xi in zip(c, x)), ZERO))

@@ -61,7 +61,7 @@ def reassemble(summands, n: int) -> Affine:
 def _const_value(phi):
     if isinstance(phi, RConst):
         return phi.r
-    if phi == ZERO_FORMULA:
+    if type(phi) is Odot and phi == ZERO_FORMULA:  # the type test skips the walk of ==
         return ZERO
     return None
 

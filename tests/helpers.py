@@ -1,8 +1,9 @@
 """Shared generators and reference oracles for the test suite.
 
-The reference Lukasiewicz machinery and vertex enumeration at the bottom
-deliberately avoid the package's evaluator, Max-Min pipeline and vertex walk
-so that cross-checks against them exercise an independent route.
+The reference Lukasiewicz machinery, vertex enumeration and simplex at the
+bottom deliberately avoid the package's evaluator, Max-Min pipeline, vertex
+walk and integer tableau so that cross-checks against them exercise an
+independent route.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from rieszmv import (
     arity,
 )
 from rieszmv.geometry import effective_budget
+from rieszmv.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
 
 F = Fraction
 
@@ -251,3 +253,85 @@ def brute_vertices(n, affines, budget=None):
         if x is not None and all(0 <= xi <= 1 for xi in x):
             points.add(x)
     return tuple(sorted(points))
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex: a dense Fraction tableau, Bland's rule, two phases.
+
+
+def _fraction_pivot(tableau, basis, row, col):
+    pivot = tableau[row][col]
+    tableau[row] = [v / pivot for v in tableau[row]]
+    for r, current in enumerate(tableau):
+        if r != row and current[col] != 0:
+            factor = current[col]
+            tableau[r] = [v - factor * p for v, p in zip(current, tableau[row])]
+    basis[row] = col
+
+
+def _fraction_run(tableau, basis, m, n):
+    # Lowest eligible column enters; ratio ties go to the lowest basic index.
+    while True:
+        obj = tableau[m]
+        col = next((j for j in range(n) if obj[j] < 0), None)
+        if col is None:
+            return OPTIMAL
+        best_ratio = None
+        row = None
+        for r in range(m):
+            coef = tableau[r][col]
+            if coef > 0:
+                ratio = tableau[r][-1] / coef
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[r] < basis[row]
+                ):
+                    best_ratio = ratio
+                    row = r
+        if row is None:
+            return UNBOUNDED
+        _fraction_pivot(tableau, basis, row, col)
+
+
+def fraction_simplex(a_rows, b, c):
+    """Reference for ``solve_lp``: the same Bland path on Fraction entries,
+    returning an equal ``SimplexResult``."""
+    m = len(a_rows)
+    n = len(c)
+    signs = [F(1) if bi >= 0 else F(-1) for bi in b]
+    rows = [
+        [s * v for v in row] + [F(0)] * m + [s * bi] for row, bi, s in zip(a_rows, b, signs)
+    ]
+    for i in range(m):
+        rows[i][n + i] = F(1)
+    obj = [F(0)] * (n + m + 1)
+    for row in rows:
+        for j in range(n):
+            obj[j] -= row[j]
+        obj[-1] -= row[-1]
+    tableau = rows + [obj]
+    basis = [n + i for i in range(m)]
+    assert _fraction_run(tableau, basis, m, n) == OPTIMAL
+    if tableau[m][-1] < 0:
+        # the reduced cost of artificial i is 1 - y_i
+        farkas = tuple(signs[i] * (1 - tableau[m][n + i]) for i in range(m))
+        return SimplexResult(INFEASIBLE, farkas=farkas)
+    if any(ci != 0 for ci in c):
+        # pivot level-0 artificials out on any nonzero original column
+        for r in range(m):
+            if basis[r] >= n:
+                col = next((j for j in range(n) if tableau[r][j] != 0), None)
+                if col is not None:
+                    _fraction_pivot(tableau, basis, r, col)
+        obj = [F(ci) for ci in c] + [F(0)] * (m + 1)
+        for r in range(m):
+            if basis[r] < n and obj[basis[r]] != 0:
+                factor = obj[basis[r]]
+                obj = [v - factor * p for v, p in zip(obj, tableau[r])]
+        tableau[m] = obj
+        if _fraction_run(tableau, basis, m, n) == UNBOUNDED:
+            return SimplexResult(UNBOUNDED)
+    x = [F(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = tableau[r][-1]
+    return SimplexResult(OPTIMAL, x=tuple(x), objective=sum((ci * xi for ci, xi in zip(c, x)), F(0)))

@@ -353,3 +353,57 @@ def test_wide_join_with_large_denominators_is_fast():
     start = time.perf_counter()
     assert evaluate(phi, (F(1, 2),)) == r / 2
     assert time.perf_counter() - start < 1.0
+
+
+def test_repr_is_pinned_and_equal_trees_hash_equally():
+    # sha256 of the repr texts that the dataclass-generated method gave;
+    # every 7th formula is a DAG sharing one subformula twice
+    rng = random.Random(127)
+    phis = []
+    for k in range(3000):
+        phi = rand_formula(rng, rng.randint(1, 4), rng.randint(0, 7), scalars=bool(k % 2))
+        phis.append(Join(phi, phi) if k % 7 == 0 else phi)
+    text = "\n".join(map(repr, phis))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "be206a17ab644cfb51403a9e71a5a2537eef13b44e40de374f30de00c96ff4cc"
+    )
+    for phi in phis:
+        tree = parse(format_formula(phi))  # the parser builds a tree, never a DAG
+        assert tree == phi and phi == tree and hash(tree) == hash(phi)
+        assert not tree != phi
+
+
+def test_equality_is_structural():
+    scaled = Delta(F(1, 3), Var(2))
+    shared = Oplus(Var(1), scaled)
+    assert Join(shared, shared) == Join(Oplus(Var(1), scaled), Oplus(Var(1), Delta(F(1, 3), Var(2))))
+    assert Odot(Var(1), Var(2)) != Oplus(Var(1), Var(2))
+    assert hash(Odot(Var(1), Var(2))) == hash(Oplus(Var(1), Var(2)))  # as the dataclass had it
+    assert Nabla(F(1, 2), Var(1)) != Delta(F(1, 2), Var(1))
+    assert Nabla(F(1, 2), Var(1)) != Nabla(F(1, 3), Var(1))
+    assert Var(1) != 1 and Var(1) != "v1" and Neg(Var(1)) != Neg("x")
+    assert repr(Neg("x")) == "Neg(child='x')"
+    assert {Join(shared, shared): 1}[parse("(v1 (+) D[1/3] v2) \\/ (v1 (+) D[1/3] v2)")] == 1
+    # 2^40 leaves as a tree: equality and hashing walk each distinct pair once
+    left, right, other = Var(1), Var(1), Var(1)
+    for k in range(40):
+        left, right = Join(left, left), Join(right, right)
+        other = Join(other, other if k else Var(2))
+    start = time.perf_counter()
+    assert left == right and hash(left) == hash(right)
+    assert left != other and hash(left) != hash(other)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_deep_formulas_compare_hash_and_print():
+    def nest(k, leaf):
+        for _ in range(k):
+            leaf = Neg(leaf)
+        return leaf
+
+    phi, psi, chi = nest(10**5, Var(1)), nest(10**5, Var(1)), nest(10**5, Var(2))
+    assert phi == psi and phi != chi and psi != chi
+    assert hash(phi) == hash(psi) != hash(chi)
+    assert repr(phi) == "Neg(child=" * 10**5 + "Var(index=1)" + ")" * 10**5
+    deep = nest(10**5, Nabla(F(1, 2), Var(3)))
+    assert repr(deep).endswith("Neg(child=Nabla(r=UnitRational(1, 2), child=Var(index=3))" + ")" * 10**5)
