@@ -1,10 +1,15 @@
 """Exact piecewise-linear functions on [0, 1]^n in Max-Min form.
 
-A function is stored as a max over groups of mins of affine pieces.  This
-representation is closed under every operation the logic needs: pointwise
-sum, nonnegative scaling, the reflection ``c - f``, lattice join/meet and
-the unit truncation ``(f v 0) ^ 1``.  The cost is term blowup, contained by
-:func:`prune` after each binary operation and a hard cap on piece counts.
+A function is a max over groups of mins of affine pieces, stored as one
+positive denominator ``den`` and integer rows, the row ``(c0, ..., cn)``
+being the piece ``(c0 + c1*x1 + ... + cn*xn) / den``: gcd-reduced, each
+group sorted and deduplicated, and so are the groups.  Over one denominator
+integer order is rational order, so equal functions have equal rows.  Every
+operation the logic needs runs on these rows: pointwise sum, nonnegative
+scaling, the reflection ``c - f``, lattice join/meet and the unit truncation
+``(f v 0) ^ 1``.  The cost is term blowup, contained by :func:`prune` after
+each binary operation and a hard cap on piece counts.  :class:`Affine` pieces
+are built only for ``MaxMin.groups``, :func:`components` and JSON.
 
 Term functions of formulas of any depth are extracted by :func:`term_pwl`,
 one loop over :func:`rieszmv.formula.program`; it agrees with
@@ -15,17 +20,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .errors import BudgetExceededError
 from .formula import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Oplus, RConst, Var, program
-from .kernel import ONE, ZERO
 
 DEFAULT_PIECE_CAP = 100_000
 _COVERAGE_LIMIT = 1200
+
+
+def _exact(r) -> Fraction:
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"{r!r} is not exact; pass a Fraction or int")
+    return r if isinstance(r, Fraction) else Fraction(r)
 
 
 @dataclass(frozen=True)
@@ -36,72 +45,80 @@ class Affine:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
+        coeffs = tuple(map(_exact, self.coeffs))
         if len(coeffs) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MaxMin:
     """Max over groups of min over each group's affine members.
 
-    Construction normalizes: pieces are deduplicated and sorted inside each
-    group, and groups are deduplicated and sorted, so equal representations
-    compare equal and every downstream computation is order-independent.
+    ``MaxMin(n, groups)`` takes groups of :class:`Affine` pieces and puts
+    them over one denominator in canonical form (see the module docstring),
+    so equal representations compare and hash equal and every downstream
+    computation is order-independent.
     """
 
     n: int
-    groups: tuple
-    # (D, integer rows of D * coeffs per group), built by the first
-    # maxmin_eval call; derived from ``groups``, so not part of equality
-    _rows: tuple = field(default=None, init=False, repr=False, compare=False)
+    den: int
+    rows: tuple
 
-    def __post_init__(self):
-        if not self.groups:
+    def __init__(self, n, groups):
+        groups = tuple(groups)
+        if not groups:
             raise ValueError("MaxMin needs at least one group")
-        norm = []
-        for group in self.groups:
+        for group in groups:
             if not group:
                 raise ValueError("empty group in MaxMin")
             for a in group:
-                if a.n != self.n:
-                    raise ValueError(f"dimension mismatch: affine of dim {a.n} in MaxMin of dim {self.n}")
-            ordered = sorted(group, key=lambda a: a.coeffs)
-            # adjacent dedup avoids hashing rational tuples
-            norm.append(
-                tuple(
-                    a
-                    for i, a in enumerate(ordered)
-                    if i == 0 or a.coeffs != ordered[i - 1].coeffs
-                )
-            )
-        norm.sort(key=lambda g: tuple(a.coeffs for a in g))
-        deduped = tuple(
-            g
-            for i, g in enumerate(norm)
-            if i == 0
-            or tuple(a.coeffs for a in g) != tuple(a.coeffs for a in norm[i - 1])
-        )
-        object.__setattr__(self, "groups", deduped)
+                if a.n != n:
+                    raise ValueError(f"dimension mismatch: affine of dim {a.n} in MaxMin of dim {n}")
+        den = math.lcm(*(c.denominator for group in groups for a in group for c in a.coeffs))
+        _fill(self, n, den, [[tuple(int(c * den) for c in a.coeffs) for a in g] for g in groups])
+
+    @property
+    def groups(self):
+        """The groups as tuples of :class:`Affine` pieces, in canonical order."""
+        return tuple(tuple(_affine(self.n, self.den, row) for row in group) for group in self.rows)
 
     @property
     def piece_count(self):
-        return sum(len(g) for g in self.groups)
+        return sum(map(len, self.rows))
+
+
+def _fill(f, n, den, groups):
+    if den > 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(itertools.chain.from_iterable(groups)))
+        if g > 1:
+            den //= g
+            groups = [[tuple(c // g for c in row) for row in group] for group in groups]
+    rows = tuple(sorted({tuple(sorted(set(group))) for group in groups}))
+    f.__dict__.update(n=n, den=den, rows=rows)
+    return f
+
+
+def _maxmin(n, den, groups):
+    """The canonical :class:`MaxMin` of integer row ``groups`` over ``den`` > 0."""
+    return _fill(object.__new__(MaxMin), n, den, groups)
+
+
+def _affine(n, den, row):
+    return Affine(n, tuple(Fraction(c, den) for c in row))
 
 
 def constant(n: int, c) -> MaxMin:
     """The constant function c on [0, 1]^n."""
-    return MaxMin(n, ((Affine(n, (Fraction(c),) + (ZERO,) * n),),))
+    c = _exact(c)
+    return _maxmin(n, c.denominator, [[(c.numerator,) + (0,) * n]])
 
 
 def projection(n: int, i: int) -> MaxMin:
     """The i-th coordinate projection (1-based)."""
     if not 1 <= i <= n:
         raise ValueError(f"projection index {i} out of range for dimension {n}")
-    coeffs = [ZERO] * (n + 1)
-    coeffs[i] = ONE
-    return MaxMin(n, ((Affine(n, tuple(coeffs)),),))
+    return _maxmin(n, 1, [[tuple(int(j == i) for j in range(n + 1))]])
 
 
 def affine_eval(a: Affine, x) -> Fraction:
@@ -118,35 +135,28 @@ def affine_eval(a: Affine, x) -> Fraction:
 def maxmin_eval(f: MaxMin, x) -> Fraction:
     """Exact value of ``f`` at ``x``: max over groups of min within group.
 
-    The pieces are put once over a common denominator ``D`` and the point
-    over the lcm ``q`` of its coordinate denominators, so the max-min runs
-    on integers and only the result becomes a :class:`Fraction`.
-    Coordinates must be ``int`` or ``Fraction``; extra ones are ignored.
+    The point is put over the lcm ``q`` of its coordinate denominators, so
+    the max-min runs on the integer rows and only the result becomes a
+    :class:`Fraction`.  Coordinates must be ``int`` or ``Fraction``; extra
+    ones are ignored.
     """
     n = f.n
     if len(x) < n:
         raise ValueError(f"point of length {len(x)} for MaxMin of dimension {n}")
-    if f._rows is None:
-        den = math.lcm(*(c.denominator for group in f.groups for a in group for c in a.coeffs))
-        rows = tuple(
-            tuple(tuple(c.numerator * (den // c.denominator) for c in a.coeffs) for a in group)
-            for group in f.groups
-        )
-        object.__setattr__(f, "_rows", (den, rows))
-    den, rows = f._rows
     coords = x[:n]
     for c in coords:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"coordinate {c!r} is not exact; pass Fraction or int coordinates")
     q = math.lcm(*(c.denominator for c in coords))
     point = (q,) + tuple(c.numerator * (q // c.denominator) for c in coords)
-    best = max(min([sum(map(mul, row, point)) for row in group]) for group in rows)
-    return Fraction(best, den * q)
+    best = max(min([sum(map(mul, row, point)) for row in group]) for group in f.rows)
+    return Fraction(best, f.den * q)
 
 
 def components(f: MaxMin):
     """All affine pieces of ``f``, deduplicated, in canonical order."""
-    return tuple(sorted(set(itertools.chain.from_iterable(f.groups)), key=lambda a: a.coeffs))
+    rows = sorted(set(itertools.chain.from_iterable(f.rows)))
+    return tuple(_affine(f.n, f.den, row) for row in rows)
 
 
 def _check_cap(pieces, cap, what):
@@ -155,8 +165,20 @@ def _check_cap(pieces, cap, what):
         raise BudgetExceededError(f"{what} would exceed the piece cap", pieces, cap)
 
 
-def _affine_add(a: Affine, b: Affine) -> Affine:
-    return Affine(a.n, tuple(ca + cb for ca, cb in zip(a.coeffs, b.coeffs)))
+def _rows_over(f: MaxMin, den):
+    """The rows of ``f`` over ``den``, a multiple of ``f.den``."""
+    k = den // f.den
+    if k == 1:
+        return f.rows
+    return tuple(tuple(tuple(k * c for c in row) for row in group) for group in f.rows)
+
+
+def _common(f: MaxMin, g: MaxMin):
+    """``(den, rows of f, rows of g)`` over the lcm of both denominators."""
+    if f.n != g.n:
+        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
+    den = math.lcm(f.den, g.den)
+    return den, _rows_over(f, den), _rows_over(g, den)
 
 
 def mm_add(f: MaxMin, g: MaxMin, cap=None) -> MaxMin:
@@ -166,30 +188,25 @@ def mm_add(f: MaxMin, g: MaxMin, cap=None) -> MaxMin:
     independent index sets distribute over pairs of members, so the result
     has one group per group pair, holding all pairwise piece sums.
     """
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
+    den, frows, grows = _common(f, g)
     _check_cap(f.piece_count * g.piece_count, cap, "pointwise sum")
-    groups = []
-    for gf in f.groups:
-        for gg in g.groups:
-            groups.append(tuple(_affine_add(a, b) for a in gf for b in gg))
-    return MaxMin(f.n, tuple(groups))
+    groups = [[tuple(map(add, a, b)) for a in gf for b in gg] for gf in frows for gg in grows]
+    return _maxmin(f.n, den, groups)
 
 
 def mm_scale(r, f: MaxMin) -> MaxMin:
     """Pointwise product by a nonnegative rational; preserves max/min shape."""
-    r = Fraction(r)
+    r = _exact(r)
     if r < 0:
         raise ValueError("mm_scale needs a nonnegative scalar")
     if r == 0:
         return constant(f.n, 0)
-    return MaxMin(
-        f.n,
-        tuple(tuple(Affine(f.n, tuple(r * c for c in a.coeffs)) for a in group) for group in f.groups),
-    )
+    p = r.numerator
+    groups = [[tuple(p * c for c in row) for row in group] for group in f.rows]
+    return _maxmin(f.n, f.den * r.denominator, groups)
 
 
-def _reflect(f: MaxMin, c, cap=None) -> MaxMin:
+def _reflect(f: MaxMin, c: int, cap=None) -> MaxMin:
     """Max-Min form of the reflection ``c - f``.
 
     ``c - max min`` is a min of maxes; redistributing the min over the
@@ -200,11 +217,12 @@ def _reflect(f: MaxMin, c, cap=None) -> MaxMin:
     values of the partial one.  The cap aborts a single step loudly.
     """
     f = prune(f)
+    n, den = f.n, f.den
+    top = c * den
     reflected = [
-        tuple(Affine(f.n, (c - a.coeffs[0],) + tuple(-ci for ci in a.coeffs[1:])) for a in group)
-        for group in f.groups
+        tuple((top - row[0],) + tuple(-x for x in row[1:]) for row in group) for group in f.rows
     ]
-    reflected.sort(key=lambda factor: (len(factor), tuple(a.coeffs for a in factor)))
+    reflected.sort(key=lambda factor: (len(factor), factor))
     _check_cap(len(reflected[0]), cap, "reflection")
     groups = [(piece,) for piece in reflected[0]]
     for factor in reflected[1:]:
@@ -212,53 +230,43 @@ def _reflect(f: MaxMin, c, cap=None) -> MaxMin:
         _check_cap(pieces, cap, "reflection")
         groups = [g + (piece,) for g in groups for piece in factor]
         if len(reflected) > 2:
-            groups = list(prune(MaxMin(f.n, tuple(groups))).groups)
-    return MaxMin(f.n, tuple(groups))
+            groups = _rows_over(prune(_maxmin(n, den, groups)), den)
+    return _maxmin(n, den, groups)
 
 
 def mm_neg_affine(f: MaxMin, cap=None) -> MaxMin:
     """Pointwise 1 - f."""
-    return _reflect(f, ONE, cap)
+    return _reflect(f, 1, cap)
 
 
 def mm_negate(f: MaxMin, cap=None) -> MaxMin:
     """Pointwise -f."""
-    return _reflect(f, ZERO, cap)
+    return _reflect(f, 0, cap)
 
 
 def mm_join(f: MaxMin, g: MaxMin) -> MaxMin:
     """Pointwise max: the union of the group lists."""
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    return MaxMin(f.n, f.groups + g.groups)
+    den, frows, grows = _common(f, g)
+    return _maxmin(f.n, den, frows + grows)
 
 
 def mm_meet(f: MaxMin, g: MaxMin, cap=None) -> MaxMin:
     """Pointwise min: min distributes over the maxes, giving merged groups."""
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
-    pieces = len(g.groups) * f.piece_count + len(f.groups) * g.piece_count
+    den, frows, grows = _common(f, g)
+    pieces = len(g.rows) * f.piece_count + len(f.rows) * g.piece_count
     _check_cap(pieces, cap, "pointwise min")
-    groups = [gf + gg for gf in f.groups for gg in g.groups]
-    return MaxMin(f.n, tuple(groups))
+    return _maxmin(f.n, den, [gf + gg for gf in frows for gg in grows])
 
 
 def trunc(f: MaxMin, cap=None) -> MaxMin:
     """Unit truncation ``(f v 0) ^ 1``, clamping values into [0, 1]."""
-    clamped = mm_meet(mm_join(f, constant(f.n, 0)), constant(f.n, 1), cap)
-    return prune(clamped)
-
-
-@lru_cache(maxsize=None)
-def _corners(n):
-    return tuple(itertools.product((ZERO, ONE), repeat=n))
-
-
-def _le(u, v):
-    for a, b in zip(u, v):
-        if a > b:
-            return False
-    return True
+    zero = (0,) * (f.n + 1)
+    one = (f.den,) + zero[1:]
+    # mm_meet(mm_join(f, 0), 1, cap): one more group {0}, then 1 in every group
+    groups = set(f.rows)
+    groups.add((zero,))
+    _check_cap(sum(map(len, groups)) + len(groups), cap, "pointwise min")
+    return prune(_maxmin(f.n, f.den, [g + (one,) for g in groups]))
 
 
 def prune(f: MaxMin) -> MaxMin:
@@ -272,92 +280,81 @@ def prune(f: MaxMin) -> MaxMin:
     Values are preserved at every point of the box.  More corners than the
     default piece cap is a :class:`BudgetExceededError`.
     """
-    if len(f.groups) == 1 and len(f.groups[0]) == 1:
+    rows = f.rows
+    if len(rows) == 1 and len(rows[0]) == 1:
         return f
-    _check_cap(2**f.n, None, "box corner table for pruning")
-    corners = _corners(f.n)
-    ncol = len(corners)
+    n = f.n
+    _check_cap(2**n, None, "box corner table for pruning")
 
-    # Intern distinct pieces to small integers, with one exact corner-value
-    # vector each; every corner column is then rescaled to integers so all
-    # later comparisons are integer-only.  Pieces are first keyed by object
-    # identity (cheap), then merged by their integer vectors, which
-    # determine an affine function completely.
-    by_id = {}
-    for group in f.groups:
-        for a in group:
-            by_id.setdefault(id(a), a)
-    distinct = list(by_id.values())
-    exact = [tuple(affine_eval(a, c) for c in corners) for a in distinct]
-    scale = [1] * ncol
-    for vec in exact:
-        for col in range(ncol):
-            scale[col] = math.lcm(scale[col], vec[col].denominator)
-    raw_ivecs = [
-        tuple(v.numerator * (scale[col] // v.denominator) for col, v in enumerate(vec))
-        for vec in exact
+    # Intern distinct pieces to small integers in order of first appearance.
+    pieces = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
+    index = {row: i for i, row in enumerate(pieces)}
+
+    # Each piece's values at the box corners (numerators over f.den, at most
+    # `bound` in size) are packed into one integer: corner k of
+    # itertools.product((0, 1), repeat=n) is the field of `width` bits at
+    # position 2**n - 1 - k, holding value + bound under a clear guard bit.
+    # Packing is linear: masks[i - 1] has the fields of the corners with
+    # x_i = 1, runs of 2**(n - i) fields from a set run at the low end.  Then
+    # u <= v at every corner exactly when ((v | guard) - u) & guard == guard,
+    # and packed integers order as their corner tuples do.
+    bound = max(sum(map(abs, row)) for row in pieces)
+    width = (2 * bound).bit_length() + 1
+    field = (1 << width) - 1
+    full = (1 << (width << n)) - 1
+    ones = full // field
+    guard = ones << (width - 1)
+    masks = [
+        full // ((1 << (2 * run * width)) - 1) * (((1 << (run * width)) - 1) // field)
+        for run in (1 << (n - i) for i in range(1, n + 1))
     ]
-    canonical = {}
-    pieces = []
-    ivecs = []
-    id_to_index = {}
-    for a, vec in zip(distinct, raw_ivecs):
-        i = canonical.get(vec)
-        if i is None:
-            i = len(pieces)
-            canonical[vec] = i
-            pieces.append(a)
-            ivecs.append(vec)
-        id_to_index[id(a)] = i
-    grouped = [[id_to_index[id(a)] for a in group] for group in f.groups]
-
-    dom_cache = {}
-
-    def dominated(a, b):
-        # piece a <= piece b everywhere on the box
-        pair = a * len(pieces) + b
-        hit = dom_cache.get(pair)
-        if hit is None:
-            hit = _le(ivecs[a], ivecs[b])
-            dom_cache[pair] = hit
-        return hit
+    packed = [(row[0] + bound) * ones + sum(map(mul, row[1:], masks)) for row in pieces]
+    lifted = [p | guard for p in packed]
 
     slimmed = set()
-    for row in grouped:
-        kept = tuple(
-            sorted(a for a in row if not any(b != a and dominated(b, a) for b in row))
-        )
-        slimmed.add(kept)
+    for group in rows:
+        ids = [index[piece] for piece in group]
+        # piece a stays unless another member b is <= a at every corner
+        kept = [
+            a for a in ids if all(b == a or (lifted[a] - packed[b]) & guard != guard for b in ids)
+        ]
+        slimmed.add(tuple(sorted(kept)))
 
     if len(slimmed) > _COVERAGE_LIMIT:
         # Quadratic group comparison would thrash here; keep the cheap
         # piece-level result and let the piece cap catch runaway growth.
-        return MaxMin(f.n, tuple(tuple(pieces[a] for a in g) for g in slimmed))
+        return _maxmin(n, f.den, [[pieces[a] for a in g] for g in slimmed])
+
+    def corner_min(g):
+        # the corner-wise minimum of the group's packed pieces
+        out = packed[g[0]]
+        for a in g[1:]:
+            b = packed[a]
+            below = (((b | guard) - out) & guard) >> (width - 1)  # out <= b
+            out = b ^ ((out ^ b) & below * field)
+        return out
 
     # A group may only be dropped in favor of one earlier in this order:
     # corner minima descending, then structure.  Coverage implies order, so
     # drop chains always end at a surviving group and no cluster of groups
     # with one shared minimum can eliminate itself.
-    def group_key(g):
-        min_vec = tuple(map(min, zip(*(ivecs[a] for a in g))))
-        return tuple(-m for m in min_vec), g
-
-    slimmed = sorted(slimmed, key=group_key)
-    min_vecs = [tuple(map(min, zip(*(ivecs[a] for a in g)))) for g in slimmed]
+    keyed = sorted((-corner_min(g), g) for g in slimmed)
+    slimmed = [g for _, g in keyed]
+    mins = [-m for m, _ in keyed]
 
     def covers(j, i):
         # min of group i <= min of group j pointwise; the corner minima give
         # a cheap necessary filter before the piecewise witness search.
-        if not _le(min_vecs[i], min_vecs[j]):
-            return False
-        lower = slimmed[i]
-        return all(any(dominated(a, b) for a in lower) for b in slimmed[j])
+        return ((mins[j] | guard) - mins[i]) & guard == guard and all(
+            any((lifted[b] - packed[a]) & guard == guard for a in slimmed[i]) for b in slimmed[j]
+        )
 
-    final = []
-    for i, group in enumerate(slimmed):
-        if not any(covers(j, i) for j in range(i)):
-            final.append(tuple(pieces[a] for a in group))
-    return MaxMin(f.n, tuple(final))
+    final = [
+        [pieces[a] for a in group]
+        for i, group in enumerate(slimmed)
+        if not any(covers(j, i) for j in range(i))
+    ]
+    return _maxmin(n, f.den, final)
 
 
 def term_pwl(phi, n: int, cap=None) -> MaxMin:
@@ -386,12 +383,12 @@ def term_pwl(phi, n: int, cap=None) -> MaxMin:
             # 1 - r + r*f; r = 0 and r = 1 collapse to a constant / identity
             if r == 0:
                 f = constant(n, 1)
-            elif r == ONE:
+            elif r == 1:
                 f = out[i]
             else:
-                f = prune(mm_add(constant(n, ONE - r), mm_scale(r, out[i]), cap))
+                f = prune(mm_add(constant(n, 1 - r), mm_scale(r, out[i]), cap))
         elif kind is Delta:
-            f = out[i] if r == ONE else mm_scale(r, out[i])
+            f = out[i] if r == 1 else mm_scale(r, out[i])
         elif kind is Oplus:
             f = trunc(mm_add(out[i], out[j], cap), cap)
         elif kind is Odot:
@@ -417,7 +414,7 @@ def linear_combination(fs, cs, cap=None) -> MaxMin:
     pointwise equality with ``((sum c_i f_i(x)) v 0) ^ 1``.
     """
     fs = list(fs)
-    cs = [Fraction(c) for c in cs]
+    cs = [_exact(c) for c in cs]
     if len(fs) != len(cs):
         raise ValueError(f"{len(fs)} functions but {len(cs)} coefficients")
     if not fs:
@@ -443,13 +440,15 @@ def linear_combination(fs, cs, cap=None) -> MaxMin:
 def maxmin_to_json(f: MaxMin) -> dict:
     return {
         "n": f.n,
-        "groups": [[[str(c) for c in a.coeffs] for a in group] for group in f.groups],
+        "groups": [[[str(Fraction(c, f.den)) for c in row] for row in group] for group in f.rows],
     }
 
 
 def maxmin_from_json(data: dict) -> MaxMin:
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:  # a JSON integer; bool is an int subclass
+            raise ValueError(f"n must be an integer, got {n!r}")
         groups = tuple(
             tuple(Affine(n, tuple(Fraction(str(c)) for c in piece)) for piece in group)
             for group in data["groups"]

@@ -1,9 +1,9 @@
 """Shared generators and reference oracles for the test suite.
 
-The reference Lukasiewicz machinery, vertex enumeration and simplex at the
-bottom deliberately avoid the package's evaluator, Max-Min pipeline, vertex
-walk and integer tableau so that cross-checks against them exercise an
-independent route.
+The reference Lukasiewicz machinery, vertex enumeration, simplex and Max-Min
+pipeline at the bottom deliberately avoid the package's evaluator, vertex
+walk, integer tableau and integer Max-Min rows so that cross-checks against
+them exercise an independent route.
 """
 
 import itertools
@@ -27,9 +27,11 @@ from rieszmv import (
     RConst,
     Var,
     arity,
+    program,
 )
 from rieszmv.geometry import effective_budget
 from rieszmv.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
+from rieszmv.pwl import _COVERAGE_LIMIT, DEFAULT_PIECE_CAP
 
 F = Fraction
 
@@ -335,3 +337,186 @@ def fraction_simplex(a_rows, b, c):
         if basis[r] < n:
             x[basis[r]] = tableau[r][-1]
     return SimplexResult(OPTIMAL, x=tuple(x), objective=sum((ci * xi for ci, xi in zip(c, x)), F(0)))
+
+
+# ---------------------------------------------------------------------------
+# Reference Max-Min pipeline: the Fraction operations and prune that the
+# integer rows replaced.  A function is a tuple of groups, each a tuple of
+# coefficient tuples (c0, ..., cn) of Fractions, sorted and deduplicated
+# inside each group and across groups, as MaxMin stored them.
+
+
+def _fcap(pieces, cap, what):
+    cap = DEFAULT_PIECE_CAP if cap is None else cap
+    if pieces > cap:
+        raise BudgetExceededError(f"{what} would exceed the piece cap", pieces, cap)
+
+
+def _fnorm(groups):
+    norm = []
+    for group in groups:
+        ordered = sorted(group)
+        norm.append(tuple(a for i, a in enumerate(ordered) if i == 0 or a != ordered[i - 1]))
+    norm.sort()
+    return tuple(g for i, g in enumerate(norm) if i == 0 or g != norm[i - 1])
+
+
+def _fpieces(f):
+    return sum(len(g) for g in f)
+
+
+def _fconst(n, c):
+    return (((F(c),) + (F(0),) * n,),)
+
+
+def _fadd(f, g, cap):
+    _fcap(_fpieces(f) * _fpieces(g), cap, "pointwise sum")
+    return _fnorm(
+        [tuple(tuple(x + y for x, y in zip(a, b)) for a in gf for b in gg) for gf in f for gg in g]
+    )
+
+
+def _fscale(r, f):
+    if r == 0:
+        return _fconst(len(f[0][0]) - 1, 0)
+    return _fnorm([tuple(tuple(r * c for c in a) for a in g) for g in f])
+
+
+def _freflect(f, c, cap):
+    f = fraction_prune(f)
+    reflected = [tuple((c - a[0],) + tuple(-x for x in a[1:]) for a in g) for g in f]
+    reflected.sort(key=lambda factor: (len(factor), factor))
+    _fcap(len(reflected[0]), cap, "reflection")
+    groups = [(a,) for a in reflected[0]]
+    for factor in reflected[1:]:
+        _fcap(sum(len(g) + 1 for g in groups) * len(factor), cap, "reflection")
+        groups = [g + (a,) for g in groups for a in factor]
+        if len(reflected) > 2:
+            groups = list(fraction_prune(_fnorm(groups)))
+    return _fnorm(groups)
+
+
+def _fmeet(f, g, cap):
+    _fcap(len(g) * _fpieces(f) + len(f) * _fpieces(g), cap, "pointwise min")
+    return _fnorm([gf + gg for gf in f for gg in g])
+
+
+def _ftrunc(f, cap):
+    n = len(f[0][0]) - 1
+    return fraction_prune(_fmeet(_fnorm(f + _fconst(n, 0)), _fconst(n, 1), cap))
+
+
+def fraction_prune(f):
+    """Reference for ``prune``: a Fraction corner table, each column
+    rescaled to integers, and the same drop rule."""
+    if len(f) == 1 and len(f[0]) == 1:
+        return f
+    n = len(f[0][0]) - 1
+    _fcap(2**n, None, "box corner table for pruning")
+    corners = list(itertools.product((F(0), F(1)), repeat=n))
+    pieces = list(dict.fromkeys(a for g in f for a in g))
+    exact = [
+        tuple(a[0] + sum(c * x for c, x in zip(a[1:], corner)) for corner in corners)
+        for a in pieces
+    ]
+    scale = [math.lcm(*(v.denominator for v in column)) for column in zip(*exact)]
+    ivecs = [tuple(v.numerator * (s // v.denominator) for v, s in zip(vec, scale)) for vec in exact]
+    index = {a: i for i, a in enumerate(pieces)}
+    cache = {}
+
+    def dominated(a, b):
+        if (a, b) not in cache:
+            cache[a, b] = all(x <= y for x, y in zip(ivecs[a], ivecs[b]))
+        return cache[a, b]
+
+    slimmed = set()
+    for group in f:
+        row = [index[a] for a in group]
+        kept = [a for a in row if not any(b != a and dominated(b, a) for b in row)]
+        slimmed.add(tuple(sorted(kept)))
+    if len(slimmed) > _COVERAGE_LIMIT:
+        return _fnorm([tuple(pieces[a] for a in g) for g in slimmed])
+
+    def min_vec(g):
+        return tuple(map(min, zip(*(ivecs[a] for a in g))))
+
+    slimmed = sorted(slimmed, key=lambda g: (tuple(-m for m in min_vec(g)), g))
+    mins = [min_vec(g) for g in slimmed]
+
+    def covers(j, i):
+        return all(x <= y for x, y in zip(mins[i], mins[j])) and all(
+            any(dominated(a, b) for a in slimmed[i]) for b in slimmed[j]
+        )
+
+    return _fnorm(
+        [
+            tuple(pieces[a] for a in g)
+            for i, g in enumerate(slimmed)
+            if not any(covers(j, i) for j in range(i))
+        ]
+    )
+
+
+def fraction_groups(f):
+    """The reference form of a ``MaxMin``."""
+    return _fnorm([tuple(a.coeffs for a in g) for g in f.groups])
+
+
+def fraction_maxmin(n, f):
+    """The ``MaxMin`` of a reference form."""
+    return MaxMin(n, tuple(tuple(Affine(n, a) for a in g) for g in f))
+
+
+def fraction_term_pwl(phi, n, cap=None):
+    """Reference for ``term_pwl``: the same steps on the Fraction pipeline,
+    with the same piece-cap errors."""
+    out = []
+    for kind, r, i, j, _ in program(phi):
+        if kind is Var:
+            if r > n:
+                raise ValueError(f"arity mismatch: v{r} in dimension {n}")
+            f = ((tuple(F(k == r) for k in range(n + 1)),),)
+        elif kind is RConst:
+            f = _fconst(n, r)
+        elif kind is Neg:
+            f = fraction_prune(_freflect(out[i], F(1), cap))
+        elif kind is Implies:
+            f = _ftrunc(_fadd(_freflect(out[i], F(1), cap), out[j], cap), cap)
+        elif kind is Nabla:
+            if r == 0:
+                f = _fconst(n, 1)
+            elif r == 1:
+                f = out[i]
+            else:
+                f = fraction_prune(_fadd(_fconst(n, 1 - r), _fscale(r, out[i]), cap))
+        elif kind is Delta:
+            f = out[i] if r == 1 else _fscale(r, out[i])
+        elif kind is Oplus:
+            f = _ftrunc(_fadd(out[i], out[j], cap), cap)
+        elif kind is Odot:
+            f = _ftrunc(_fadd(_fadd(out[i], out[j], cap), _fconst(n, -1), cap), cap)
+        elif kind is Join:
+            f = fraction_prune(_fnorm(out[i] + out[j]))
+        elif kind is Meet:
+            f = fraction_prune(_fmeet(out[i], out[j], cap))
+        elif kind is Iff:
+            fwd = _ftrunc(_fadd(_freflect(out[i], F(1), cap), out[j], cap), cap)
+            bwd = _ftrunc(_fadd(_freflect(out[j], F(1), cap), out[i], cap), cap)
+            f = fraction_prune(_fmeet(fwd, bwd, cap))
+        else:  # Ominus
+            f = _ftrunc(_fadd(out[i], _freflect(out[j], F(0), cap), cap), cap)
+        out.append(f)
+    return fraction_maxmin(n, out[-1])
+
+
+def fraction_linear_combination(fs, cs, cap=None):
+    """Reference for ``linear_combination`` on the Fraction pipeline."""
+    n = fs[0].n
+    acc = _fconst(n, 0)
+    for c, f in zip(cs, fs):
+        if c == 0:
+            continue
+        g = fraction_groups(f)
+        term = _fscale(c, g) if c > 0 else _freflect(_fscale(-c, g), F(0), cap)
+        acc = fraction_prune(_fadd(acc, term, cap))
+    return fraction_maxmin(n, _ftrunc(acc, cap))

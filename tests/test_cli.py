@@ -249,6 +249,11 @@ MALFORMED_BOOKS = (
     '{"events": [{"formula": "v1", "odd": "2"}]}',
     '{"events": [{"formula": "v1", "odd": "1/0"}]}',
 )
+# read as n = 1 once, so synth printed v1 and exited 0
+NON_INTEGER_ARITY_PWLS = (
+    '{"n": 1.9, "groups": [[["0", "1"]]]}',
+    '{"n": true, "groups": [[["0", "1"]]]}',
+)
 MALFORMED_PWLS = (
     "{",
     "{}",
@@ -257,7 +262,7 @@ MALFORMED_PWLS = (
     '{"n": 1, "groups": [[["0"]]]}',
     '{"n": 1, "groups": [[["0", "x"]]]}',
     '{"n": 1, "groups": [[["0", "2"]]]}',
-)
+) + NON_INTEGER_ARITY_PWLS
 MALFORMED_CERTIFICATES = (
     "{",
     "[]",
@@ -304,3 +309,9 @@ def test_every_subcommand_keeps_the_exit_code_contract_on_hostile_input(tmp_path
         assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_BUDGET, EXIT_USAGE), argv
         if code in (EXIT_DOMAIN, EXIT_BUDGET):
             assert len(err.strip().splitlines()) <= 1, argv  # one-line message
+    for text in NON_INTEGER_ARITY_PWLS:
+        path = tmp_path / "arity.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "synth", str(path))
+        assert (code, out) == (EXIT_DOMAIN, ""), text
+        assert "malformed piecewise-linear JSON" in err, text

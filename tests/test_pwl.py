@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,19 @@ import pytest
 from rieszmv import (
     Affine,
     BudgetExceededError,
+    Delta,
+    Iff,
+    Implies,
+    Join,
     MaxMin,
+    Meet,
+    Nabla,
+    Neg,
+    Odot,
+    Ominus,
+    Oplus,
+    RConst,
+    Var,
     affine_eval,
     components,
     constant,
@@ -28,8 +43,21 @@ from rieszmv import (
     term_pwl,
     trunc,
 )
+from rieszmv.geometry import candidate_vertices
 
-from helpers import clamp, rand_formula, rand_maxmin, rand_point, rand_signed
+from helpers import (
+    clamp,
+    fraction_groups,
+    fraction_linear_combination,
+    fraction_maxmin,
+    fraction_prune,
+    fraction_term_pwl,
+    rand_formula,
+    rand_maxmin,
+    rand_point,
+    rand_signed,
+    rand_unit,
+)
 
 F = Fraction
 
@@ -319,3 +347,163 @@ def test_json_round_trip():
     assert data == {"n": 2, "groups": [[["0", "0", "1"]]]}
     with pytest.raises(ValueError):
         maxmin_from_json({"n": 1})
+
+
+def test_inexact_numbers_are_rejected():
+    # a float used to be stored as its binary expansion, 0.1 as
+    # 3602879701896397/36028797018963968
+    x = projection(1, 1)
+    for bad in (0.1, Decimal("0.1"), "1/10"):
+        with pytest.raises(TypeError):
+            Affine(1, (bad, 1))
+        with pytest.raises(TypeError):
+            constant(1, bad)
+        with pytest.raises(TypeError):
+            mm_scale(bad, x)
+        with pytest.raises(TypeError):
+            linear_combination([x], [bad])
+    assert Affine(1, (1, F(1, 10))).coeffs == (F(1), F(1, 10))
+    assert mm_scale(3, x) == mm_scale(F(3), x)
+
+
+def test_json_arity_must_be_an_integer():
+    for n in (1.9, True, "1", None):
+        with pytest.raises(ValueError, match="malformed piecewise-linear JSON"):
+            maxmin_from_json({"n": n, "groups": [[["0", "1"]]]})
+    assert maxmin_from_json({"n": 1, "groups": [[["0", "1"]]]}) == projection(1, 1)
+
+
+def test_equal_functions_have_equal_rows_however_built():
+    # max(x1 / 2, 1/3 + x2 / 4), built by the operations ...
+    ops = mm_join(
+        mm_scale(F(1, 2), projection(2, 1)),
+        mm_add(constant(2, F(1, 3)), mm_scale(F(1, 4), projection(2, 2))),
+    )
+    # ... and from unsorted, repeated groups of mixed-denominator pieces
+    direct = MaxMin(
+        2,
+        (
+            (Affine(2, (F(4, 12), 0, F(3, 12))), Affine(2, (F(1, 3), F(0), F(1, 4)))),
+            (Affine(2, (0, F(1, 2), 0)),),
+            (Affine(2, (F(0), F(5, 10), F(0))),),
+        ),
+    )
+    assert direct == ops and hash(direct) == hash(ops)
+    assert (ops.den, ops.rows) == (12, (((0, 6, 0),), ((4, 0, 3),)))
+    assert [a.coeffs for g in ops.groups for a in g] == [(0, F(1, 2), 0), (F(1, 3), 0, F(1, 4))]
+    # a common factor of the rows and the denominator is divided out
+    twelve = mm_scale(12, ops)
+    assert (twelve.den, twelve.rows) == (1, (((0, 6, 0),), ((4, 0, 3),)))
+    assert twelve == MaxMin(2, ((Affine(2, (4, 0, 3)),), (Affine(2, (0, 6, 0)),)))
+    assert mm_add(constant(1, F(1, 2)), constant(1, F(1, 2))).rows == (((1, 0),),)
+
+
+def test_components_and_json_are_pinned():
+    # sha256 of components text and maxmin_to_json of the Fraction pipeline
+    # this one replaced; every 5th formula is a DAG sharing a subformula
+    rng = random.Random(131)
+    comps, data = hashlib.sha256(), hashlib.sha256()
+    for k in range(3000):
+        n = rng.randint(1, 4)
+        phi = rand_formula(rng, n, rng.randint(0, 4), scalars=bool(k % 2))
+        if k % 5 == 0:
+            phi = Join(phi, Neg(phi))
+        f = term_pwl(phi, n)
+        text = "".join(" ".join(map(str, a.coeffs)) + "\n" for a in components(f)) + "\n"
+        comps.update(text.encode())
+        data.update(json.dumps(maxmin_to_json(f)).encode() + b"\n")
+    assert comps.hexdigest() == "84df057fcc9e9c31abf9425a4dfc0e6dd7af27613bfee19e3be9e291760ce91f"
+    assert data.hexdigest() == "9c35faf279c742a3cf177e4d8d5ba9387df0e8d33f2c1e6f812d856d990c8485"
+
+
+_COPRIME = (7, 11, 13, 17, 19, 23)
+
+
+def _oracle_scalar(rng, shape):
+    if shape == "coprime":
+        q = rng.choice(_COPRIME)
+        return F(rng.randint(0, q), q)
+    if shape == "digits":
+        p = rng.randint(10**29, 10**30 - 1)
+        return F(p, rng.randint(p, 10**30))
+    return rand_unit(rng, 8)
+
+
+def _oracle_formula(rng, n, depth, shape, pool):
+    """A random formula whose subformulas are often shared through ``pool``."""
+    if pool and rng.random() < 0.25:
+        return rng.choice(pool)
+    if depth <= 0 or rng.random() < 0.2:
+        phi = RConst(_oracle_scalar(rng, shape)) if rng.random() < 0.15 else Var(rng.randint(1, n))
+    elif rng.random() < 0.3:
+        kind = rng.choice((Neg, Delta, Nabla))
+        child = _oracle_formula(rng, n, depth - 1, shape, pool)
+        phi = Neg(child) if kind is Neg else kind(_oracle_scalar(rng, shape), child)
+    else:
+        kind = rng.choice((Implies, Oplus, Odot, Join, Meet, Ominus, Iff))
+        phi = kind(
+            _oracle_formula(rng, n, depth - 1, shape, pool),
+            _oracle_formula(rng, n, depth - 1, shape, pool),
+        )
+    pool.append(phi)
+    return phi
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except BudgetExceededError as err:
+        return ("cap", str(err), err.size, err.budget)
+
+
+@pytest.mark.parametrize("shape", ["small", "coprime", "digits", "cap"])
+def test_integer_rows_match_the_fraction_oracle(shape):
+    # term_pwl and linear_combination take the Fraction pipeline's steps on
+    # integer rows, so every result, and every piece-cap error, is equal
+    rng = random.Random(f"pwl-oracle:{shape}")
+    hits = 0
+    for _ in range(125):
+        n = rng.randint(1, 5)
+        # below the default cap, so that a runaway formula stops early
+        cap = rng.choice((4, 8, 16)) if shape == "cap" else 2000
+        pool = []
+        fs = []
+        for _ in range(4):
+            phi = _oracle_formula(rng, n, rng.randint(1, 4), shape, pool)
+            got = _outcome(term_pwl, phi, n, cap)
+            assert got == _outcome(fraction_term_pwl, phi, n, cap), (phi, n, cap)
+            if isinstance(got, tuple):
+                hits += 1
+                continue
+            assert hash(got) == hash(fraction_maxmin(n, fraction_groups(got)))
+            assert MaxMin(n, got.groups[::-1]) == got
+            fs.append(got)
+        if not fs:
+            continue
+        if shape == "digits":
+            cs = [F(rng.choice((-1, 1)) * rng.randint(10**29, 10**30), rng.choice(_COPRIME))
+                  for _ in fs]
+        else:
+            cs = [F(rng.randint(-40, 40), rng.choice(_COPRIME)) for _ in fs]
+        cap = min(cap, 500)  # a reflected sum of large functions grows fast
+        got = _outcome(linear_combination, fs, cs, cap)
+        assert got == _outcome(fraction_linear_combination, fs, cs, cap), (fs, cs, cap)
+        hits += isinstance(got, tuple)
+    assert hits > 50 if shape == "cap" else hits < 25, hits
+
+
+def test_prune_keeps_values_when_too_many_groups_to_compare():
+    # More than 1,200 groups left after the piece-level pass: prune skips
+    # the group comparison.  Lines through (1/2, 1/2) with distinct slopes
+    # cross there, so none dominates another, and every 5 of 13 make a
+    # group; each group also holds the constant 4, dominated by its lines.
+    lines = [(F(1, 2) - F(k, 8), F(k, 4)) for k in range(-6, 7)]
+    four = (F(4), F(0))
+    f = _mm(1, *(subset + (four,) for subset in itertools.combinations(lines, 5)))
+    slim = prune(f)
+    assert len(slim.rows) == 1287 and four not in {a.coeffs for a in components(slim)}
+    assert slim == fraction_maxmin(1, fraction_prune(fraction_groups(f)))
+    vertices = candidate_vertices(f)
+    assert vertices == ((F(0),), (F(1, 2),), (F(1),))
+    for v in vertices:
+        assert maxmin_eval(slim, v) == maxmin_eval(f, v)
