@@ -74,12 +74,7 @@ from .geometry import (
     unit_norm,
     vertices_from_components,
 )
-from .synthesis import (
-    decompose_unit_summands,
-    reassemble,
-    synth_pwl,
-    synth_trunc_affine,
-)
+from .synthesis import synth_pwl, synth_trunc_affine
 from .coherence import (
     Book,
     Coherent,

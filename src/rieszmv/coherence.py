@@ -24,7 +24,7 @@ from .formula import Formula, Ominus, Oplus, Nabla, RConst, arity, evaluate, for
 from .geometry import vertices_from_components
 from .kernel import ONE, UnitRational, ZERO
 from .lp import INFEASIBLE, solve_lp
-from .pwl import MaxMin, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
+from .pwl import MaxMin, _exact, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
 from .synthesis import synth_pwl
 
 
@@ -57,9 +57,7 @@ class StateWitness:
     support: tuple
 
     def __post_init__(self):
-        support = tuple(
-            (tuple(Fraction(c) for c in point), Fraction(w)) for point, w in self.support
-        )
+        support = tuple((tuple(map(_exact, point)), _exact(w)) for point, w in self.support)
         if not support:
             raise ValueError("empty support")
         if any(w <= 0 for _, w in support):
@@ -77,8 +75,8 @@ class DutchBook:
     margin: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "stakes", tuple(Fraction(c) for c in self.stakes))
-        object.__setattr__(self, "margin", Fraction(self.margin))
+        object.__setattr__(self, "stakes", tuple(map(_exact, self.stakes)))
+        object.__setattr__(self, "margin", _exact(self.margin))
         if self.margin <= 0:
             raise ValueError("a Dutch book needs a positive margin")
 
@@ -167,7 +165,7 @@ def state_eval(witness: StateWitness, phi: Formula) -> Fraction:
 
 def span_combination(book: Book, cs) -> MaxMin:
     """``trunc(sum c_i (event_i - odd_i))`` as an exact Max-Min function."""
-    cs = [Fraction(c) for c in cs]
+    cs = list(cs)
     if len(cs) != book.k:
         raise ValueError(f"expected {book.k} coefficients, got {len(cs)}")
     n = book.dimension
@@ -193,7 +191,7 @@ def shortfall_span_member(book: Book, cs, budget=None) -> Formula:
     For a coherent book every such combination is an invalid formula; this
     is the certificate-side construction for that necessary condition.
     """
-    cs = [Fraction(c) for c in cs]
+    cs = list(cs)
     if len(cs) != book.k:
         raise ValueError(f"expected {book.k} coefficients, got {len(cs)}")
     n = book.dimension
@@ -211,7 +209,7 @@ def nabla_combination(formulas, rs) -> Formula:
     the constant-1 event.
     """
     formulas = list(formulas)
-    rs = [Fraction(r) for r in rs]
+    rs = list(rs)
     if len(formulas) != len(rs) or not formulas:
         raise ValueError("need equally many formulas and scalars, at least one")
     out = None
@@ -279,14 +277,14 @@ def certificate_from_json(data):
     try:
         if data["kind"] == "coherent":
             support = tuple(
-                (tuple(Fraction(c) for c in entry["point"]), Fraction(entry["weight"]))
+                (tuple(Fraction(str(c)) for c in entry["point"]), Fraction(str(entry["weight"])))
                 for entry in data["support"]
             )
             return Coherent(StateWitness(support))
         if data["kind"] == "incoherent":
             return Incoherent(
                 DutchBook(
-                    tuple(Fraction(c) for c in data["stakes"]), Fraction(data["margin"])
+                    tuple(Fraction(str(c)) for c in data["stakes"]), Fraction(str(data["margin"]))
                 )
             )
     except (KeyError, TypeError, ZeroDivisionError) as exc:

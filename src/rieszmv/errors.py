@@ -17,10 +17,11 @@ class BudgetExceededError(RuntimeError):
 class RangeViolationError(ValueError):
     """A piecewise-linear function leaves [0, 1] where it must not.
 
-    ``point`` is a witness where the range constraint fails.
+    ``point`` is a witness where the range constraint fails; the message
+    prints it as comma-separated rationals, like the CLI's witness lines.
     """
 
     def __init__(self, message, point, value):
-        super().__init__(f"{message} at {point}: value {value}")
+        super().__init__(f"{message} at {','.join(map(str, point))}: value {value}")
         self.point = point
         self.value = value

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,6 +101,43 @@ def test_synth_from_file(tmp_path, capsys):
     assert out.strip() == "true"
 
 
+def _piece_file(tmp_path, c, truncated=True):
+    # f = -c/2 + c v1 - c v2 + c/3 v3; truncated, as the groups (f ^ 1) v 0
+    f = [str(F(-c, 2)), str(c), str(-c), str(F(c, 3))]
+    groups = [[f, ["1", "0", "0", "0"]], [["0", "0", "0", "0"]]] if truncated else [[f]]
+    path = tmp_path / f"piece{c}.json"
+    path.write_text(json.dumps({"n": 3, "groups": groups}))
+    return str(path)
+
+
+def test_synth_output_grows_linearly_in_the_coefficients(tmp_path, capsys):
+    points = [(F(1, 2), F(1, 3), F(1, 4)), (F(3, 4), F(1, 2), F(1, 8)), (F(1, 2), F(1, 2), F(1, 2))]
+    for c in (12, 16, 1000):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "synth", _piece_file(tmp_path, c))
+        assert (code, err) == (EXIT_OK, ""), c
+        assert time.perf_counter() - started < 10, c
+        phi = parse(out.strip())
+        for x in points:
+            assert evaluate(phi, x) == min(1, max(0, -F(c, 2) + c * x[0] - c * x[1] + F(c, 3) * x[2]))
+        # at most one leaf per variable in each of the ceil(4c/3) summands (1334 at c = 1000)
+        assert out.count("v") <= 3 * -(-4 * c // 3), c
+
+
+def test_synth_beyond_the_piece_cap_is_a_budget_error(tmp_path, capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "synth", _piece_file(tmp_path, 10**9))
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err.startswith("budget exceeded: ") and len(err.strip().splitlines()) == 1
+    assert time.perf_counter() - started < 10
+
+
+def test_synth_range_error_prints_the_point_like_a_witness(tmp_path, capsys):
+    code, out, err = run(capsys, "synth", _piece_file(tmp_path, 12, truncated=False))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == "error: function drops below 0 at 0,1,0: value -18\n"
+
+
 def test_coherent_incoherent_book(tmp_path, capsys):
     path = tmp_path / "book.json"
     path.write_text(json.dumps(BOOK_INCOHERENT))
@@ -126,6 +164,17 @@ def test_coherent_verify_round_trip(tmp_path, capsys):
     wrong.write_text(json.dumps(BOOK_INCOHERENT))
     code, out, _ = run(capsys, "coherent", str(wrong), "--verify", str(cert_path))
     assert code == EXIT_DOMAIN
+
+
+def test_certificate_numbers_read_like_book_numbers(tmp_path, capsys):
+    # a JSON number 0.1 is 1/10 in a certificate, as it is in a book
+    book = tmp_path / "book.json"
+    book.write_text(json.dumps({"events": [{"formula": "v1", "odd": 0.1}]}))
+    for point in ([0.1], ["0.1"]):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"kind": "coherent", "support": [{"point": point, "weight": 1}]}))
+        code, out, _ = run(capsys, "coherent", str(book), "--verify", str(cert))
+        assert (code, out) == (EXIT_OK, "verified\n"), point
 
 
 def test_span(tmp_path, capsys):

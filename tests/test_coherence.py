@@ -25,6 +25,7 @@ from rieszmv import (
     semantic_equiv,
     shortfall_span_member,
     signed_difference,
+    span_combination,
     span_member,
     state_eval,
     verify_certificate,
@@ -253,6 +254,23 @@ def test_witness_validation():
         StateWitness((((F(0),), F(1, 2)),))  # weights sum to 1/2
     with pytest.raises(ValueError):
         DutchBook((F(1),), F(0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda book: span_combination(book, [0.1]),
+        lambda book: shortfall_span_member(book, [0.1]),
+        lambda book: nabla_combination([V1], [0.1]),
+        lambda book: StateWitness((((F(1, 2),), 1.0),)),
+        lambda book: DutchBook((0.1,), F(1, 5)),
+    ],
+    ids=["span_combination", "shortfall_span_member", "nabla_combination", "StateWitness", "DutchBook"],
+)
+def test_float_weights_are_rejected(build):
+    # a float is its binary expansion (0.1 has denominator 2**55), never 1/10
+    with pytest.raises(TypeError):
+        build(_book(("v1", "1/2")))
 
 
 def test_book_json_round_trip():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,13 +10,12 @@ from rieszmv import (
     RangeViolationError,
     candidate_vertices,
     constant,
-    decompose_unit_summands,
     evaluate,
+    format_formula,
     is_valid,
     maxmin_eval,
     parse,
     projection,
-    reassemble,
     semantic_equiv,
     synth_pwl,
     synth_trunc_affine,
@@ -26,27 +26,6 @@ from rieszmv import (
 from helpers import clamp, grid_points, rand_affine, rand_formula, rand_maxmin, rand_point
 
 F = Fraction
-
-
-def test_decompose_examples():
-    dec = decompose_unit_summands(Affine(1, (F(3, 2), F(0))))
-    assert dec == ((F(3, 4), None), (F(3, 4), None))
-    dec = decompose_unit_summands(Affine(1, (F(0), F(-1, 2))))
-    assert dec == ((F(-1, 2), 1),)
-    dec = decompose_unit_summands(Affine(1, (F(0), F(1))))
-    assert dec == ((F(1), 1),)
-    assert decompose_unit_summands(Affine(2, (F(0), F(0), F(0)))) == ()
-
-
-def test_decompose_reassembles_randomly():
-    rng = random.Random(107)
-    for _ in range(200):
-        n = rng.randint(1, 3)
-        f = rand_affine(rng, n)
-        dec = decompose_unit_summands(f)
-        assert all(r != 0 and abs(r) <= 1 for r, _ in dec)
-        assert all(y is None or 1 <= y <= n for _, y in dec)
-        assert reassemble(dec, n) == f
 
 
 def test_synth_constant_half():
@@ -79,6 +58,21 @@ def test_synth_affine_round_trip_random():
             x = rand_point(rng, n)
             want = clamp(sum(c * xi for c, xi in zip(f.coeffs[1:], x)) + f.coeffs[0])
             assert evaluate(phi, x) == want
+
+
+def test_synth_affine_size_is_linear_in_the_coefficients():
+    # m copies of one summand that names each variable at most once, where
+    # m = ceil(max(positive part's sum, largest negative magnitude))
+    rng = random.Random(131)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        f = rand_affine(rng, n, bound=64, max_den=8)
+        m = math.ceil(max(sum(max(c, 0) for c in f.coeffs), max(max(-c, 0) for c in f.coeffs)))
+        phi = synth_trunc_affine(f)
+        assert format_formula(phi).count("v") <= m * n
+        for _ in range(20):
+            x = rand_point(rng, n)
+            assert evaluate(phi, x) == clamp(f.coeffs[0] + sum(c * xi for c, xi in zip(f.coeffs[1:], x)))
 
 
 def test_synth_pwl_examples():
