@@ -216,6 +216,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values may need more than 4,300 digits
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

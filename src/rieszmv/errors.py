@@ -9,7 +9,10 @@ class BudgetExceededError(RuntimeError):
     """
 
     def __init__(self, message, size, budget):
-        super().__init__(f"{message}: required {size}, budget {budget}")
+        # a size past about 30 digits prints as a power-of-two bound, never as
+        # its digits: 2**20000 alone has 6,021
+        shown = f"at least 2^{size.bit_length() - 1}" if isinstance(size, int) and size.bit_length() > 100 else size
+        super().__init__(f"{message}: required {shown}, budget {budget}")
         self.size = size
         self.budget = budget
 

@@ -25,6 +25,10 @@ Concrete grammar (ASCII, precedence low to high, ``->`` right-associative)::
     unary   := "!" unary | "D[" rat "]" unary | "N[" rat "]" unary | atom
     atom    := "v" INT | "C[" rat "]" | "(" formula ")"
 
+The binary rules are one table, ``_INFIX`` (symbol, precedence and the least
+precedence printed bare on each side): the tokenizer, the parser's one
+``binary(level)`` method and the printer all read it.
+
 Rational literals are ``p/q`` or exact decimals (``0.3`` means 3/10).
 """
 
@@ -142,38 +146,37 @@ class Implies(Formula):
 
 
 @_node
-class Nabla(Formula):
+class _Scaled(Formula):
+    """Base of the nodes whose scalar ``r`` must lie in [0, 1]."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", UnitRational(self.r))
+
+
+@_node
+class Nabla(_Scaled):
     """Scalar connective with value 1 - r + r*x."""
 
     r: Fraction
     child: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", UnitRational(self.r))
-
 
 @_node
-class Delta(Formula):
+class Delta(_Scaled):
     """Scalar connective with value r*x; definable as ``!N[r]!``."""
 
     r: Fraction
     child: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", UnitRational(self.r))
-
 
 @_node
-class RConst(Formula):
+class RConst(_Scaled):
     """Constant formula with value r; definable as ``D[r](v1 -> v1)``.
 
     Stored as a primitive so that a bare constant has arity 0.
     """
 
     r: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", UnitRational(self.r))
 
 
 @_node
@@ -225,6 +228,11 @@ _INFIX = {
     Ominus: (" (-) ", 4, 4, 5),
     Odot: (" (.) ", 5, 5, 6),
 }
+# Unary connectives and atoms bind tighter than every binary connective.
+_UNARY = 1 + max(level for _, level, _, _ in _INFIX.values())
+# The parser's view of _INFIX: symbol -> (precedence, class, least
+# precedence of the right operand).
+_BINARY = {symbol.strip(): (level, kind, right) for kind, (symbol, level, _, right) in _INFIX.items()}
 
 
 def program(phi: Formula) -> tuple:
@@ -393,13 +401,7 @@ def expand(phi: Formula) -> Formula:
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
-    | (?P<iff><->)
-    | (?P<imp>->)
-    | (?P<disj>\\/)
-    | (?P<conj>/\\)
-    | (?P<oplus>\(\+\))
-    | (?P<ominus>\(-\))
-    | (?P<odot>\(\.\))
+    | (?P<binary>""" + "|".join(re.escape(op) for op in sorted(_BINARY, key=len, reverse=True)) + r""")
     | (?P<neg>!)
     | (?P<delta>D\[)
     | (?P<nabla>N\[)
@@ -431,12 +433,8 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
 
     def take(self):
         tok = self.tokens[self.i]
@@ -463,54 +461,21 @@ class _Parser:
             raise ParseError(f"scalar {value} outside [0, 1]", pos)
         return r
 
-    def formula(self):
-        return self.iff()
-
-    def iff(self):
-        left = self.imp()
-        while self.peek() == "iff":
-            self.take()
-            left = Iff(left, self.imp())
-        return left
-
-    def imp(self):
-        left = self.disj()
-        if self.peek() == "imp":
-            self.take()
-            return Implies(left, self.imp())
-        return left
-
-    def disj(self):
-        left = self.conj()
-        while self.peek() == "disj":
-            self.take()
-            left = Join(left, self.conj())
-        return left
-
-    def conj(self):
-        left = self.sum()
-        while self.peek() == "conj":
-            self.take()
-            left = Meet(left, self.sum())
-        return left
-
-    def sum(self):
-        left = self.prod()
-        while self.peek() in ("oplus", "ominus"):
-            kind, _, _ = self.take()
-            right = self.prod()
-            left = Oplus(left, right) if kind == "oplus" else Ominus(left, right)
-        return left
-
-    def prod(self):
-        left = self.unary()
-        while self.peek() == "odot":
-            self.take()
-            left = Odot(left, self.unary())
-        return left
+    def binary(self, level):
+        # A formula whose connectives bind at ``level`` or tighter: one frame
+        # per precedence level, left-associative unless _INFIX says otherwise.
+        if level == _UNARY:
+            return self.unary()
+        left = self.binary(level + 1)
+        while True:
+            row = _BINARY.get(self.tokens[self.i][1])
+            if row is None or row[0] != level:
+                return left
+            self.i += 1
+            left = row[1](left, self.binary(row[2]))
 
     def unary(self):
-        kind = self.peek()
+        kind = self.tokens[self.i][0]
         if kind == "neg":
             self.take()
             return Neg(self.unary())
@@ -534,7 +499,7 @@ class _Parser:
             self.expect("rbrack", "']'")
             return RConst(r)
         if kind == "lparen":
-            inner = self.formula()
+            inner = self.binary(0)
             self.expect("rparen", "')'")
             return inner
         raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
@@ -543,7 +508,7 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse formula text into its AST; raises :class:`ParseError`."""
     parser = _Parser(text)
-    phi = parser.formula()
+    phi = parser.binary(0)
     tok = parser.tokens[parser.i]
     if tok[0] != "eof":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
@@ -574,10 +539,10 @@ def format_formula(phi: Formula) -> str:
             out.append(f"C[{node.r}]")
         elif kind is Neg:
             out.append("!")
-            stack.append((node.child, 6))
+            stack.append((node.child, _UNARY))
         elif kind is Delta or kind is Nabla:
             out.append(f"{'D' if kind is Delta else 'N'}[{node.r}] ")
-            stack.append((node.child, 6))
+            stack.append((node.child, _UNARY))
         elif kind in _INFIX:
             symbol, level, left, right = _INFIX[kind]
             if level < minimum:

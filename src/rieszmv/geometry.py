@@ -37,9 +37,9 @@ def effective_budget(budget=None):
     return DEFAULT_VERTEX_BUDGET
 
 
-def _hyperplanes(n, affines):
+def _differences(affines):
     # primitive integer rows (c0, ..., cn) of the pairwise differences, first
-    # nonzero linear coefficient positive, and of the 2n box facets, sorted
+    # nonzero linear coefficient positive
     distinct = {a.coeffs for a in affines}
     scale = math.lcm(*[c.denominator for coeffs in distinct for c in coeffs])
     pieces = [[c.numerator * (scale // c.denominator) for c in coeffs] for coeffs in distinct]
@@ -49,6 +49,17 @@ def _hyperplanes(n, affines):
         lead = next((c for c in diff[1:] if c), 0)
         if lead:
             rows.add(_primitive(diff if lead > 0 else [-c for c in diff]))
+    return rows
+
+
+def _is_facet(row):
+    # x_i = 0 is (0, e_i) and x_i = 1 is (-1, e_i)
+    return row[0] in (0, -1) and sum(map(abs, row[1:])) == 1
+
+
+def _hyperplanes(n, differences):
+    # the difference rows and the 2n box facets, sorted
+    rows = set(differences)
     for i in range(1, n + 1):
         facet = tuple(int(j == i) for j in range(n + 1))
         rows |= {facet, (-1,) + facet[1:]}  # x_i = 0 and x_i = 1
@@ -75,12 +86,13 @@ def vertices_from_components(n, affines, budget=None):
     if n < 1:
         raise ValueError("vertex enumeration needs dimension >= 1")
     budget = effective_budget(budget)
-    rows = _hyperplanes(n, affines)
-    systems = math.comb(len(rows), n)
+    differences = _differences(affines)
+    # count the hyperplanes first: the 2n facet rows alone hold O(n^2) entries
+    count = len(differences) + 2 * n - sum(map(_is_facet, differences))
+    systems = math.comb(count, n)
     if systems > budget:
-        raise BudgetExceededError(
-            f"vertex enumeration over {len(rows)} hyperplanes in dimension {n}", systems, budget
-        )
+        raise BudgetExceededError(f"vertex enumeration over {count} hyperplanes in dimension {n}", systems, budget)
+    rows = _hyperplanes(n, differences)
     points = set()
     stack = [(0, [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)])]
     while stack:

@@ -46,12 +46,15 @@ def synth_trunc_affine(f: Affine) -> Formula:
     """A formula whose term function is ``((f v 0) ^ 1)`` on the box.
 
     Total on rational affine functions, and mentions only the variables
-    that f does.  Raises :class:`BudgetExceededError` when the number of
+    that f does; f at least 1 (at most 0) on the whole box gives ``C[1]``
+    (``C[0]``).  Raises :class:`BudgetExceededError` when the number of
     copies m exceeds ``pwl.DEFAULT_PIECE_CAP``.
     """
     positive = [max(c, 0) for c in f.coeffs]
     negative = [max(-c, 0) for c in f.coeffs]
-    if not any(positive):
+    if positive[0] - sum(negative) >= 1:  # f's minimum on the box
+        return RConst(1)
+    if sum(positive) - negative[0] <= 0:  # f's maximum on the box
         return RConst(0)
     m = math.ceil(max(sum(positive), max(negative)))
     _check_cap(m, None, "synthesis of a truncated affine piece")

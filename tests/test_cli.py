@@ -138,6 +138,48 @@ def test_synth_range_error_prints_the_point_like_a_witness(tmp_path, capsys):
     assert err == "error: function drops below 0 at 0,1,0: value -18\n"
 
 
+def test_synth_prints_pieces_constant_on_the_box_as_constants(tmp_path, capsys):
+    cases = (
+        ([[["5", "0"], ["0", "1"]]], "v1 /\\ C[1]"),  # min(5, v1)
+        ([[["3/2", "0"], ["0", "1"]]], "v1 /\\ C[1]"),  # min(3/2, v1)
+        ([[["2", "1"], ["0", "1"]]], "v1 /\\ C[1]"),  # min(2 + v1, v1)
+        ([[["-1", "1", "-1"]], [["0", "1/2", "0"]]], "C[0] \\/ D[1/2] v1"),  # max(v1 - 1 - v2, v1/2)
+    )
+    for groups, expected in cases:
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps({"n": len(groups[0][0]) - 1, "groups": groups}))
+        assert run(capsys, "synth", str(path)) == (EXIT_OK, expected + "\n", ""), groups
+
+
+def test_high_dimensional_synth_counts_its_hyperplanes_before_building_them(tmp_path, capsys):
+    # the constant 1/2 in dimension 30,000: its facet rows would hold 1.8e9 entries
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"n": 30000, "groups": [[["1/2"] + ["0"] * 30000]]}))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "synth", str(path))
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == (
+        "budget exceeded: vertex enumeration over 60000 hyperplanes in dimension 30000: "
+        "required at least 2^59991, budget 2000000\n"
+    )
+    assert time.perf_counter() - started < 10
+
+
+def test_exact_values_and_sizes_past_4300_digits(capsys):
+    # a denominator of 5,401 digits prints in full
+    code, out, err = run(capsys, "eval", "D[1/999999999] " * 600 + "v1", "--at", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert len(out) == 5403 and out == f"1/{999999999**600}\n"  # main lifted the limit for this process too
+    # a size of 2**20000 prints as a bound, on one short line
+    for argv in (("min", "v1 \\/ v20000"), ("components", "v1 \\/ v2", "--arity", "20000")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_BUDGET, ""), argv
+        assert err == (
+            "budget exceeded: box corner table for pruning would exceed the piece cap: "
+            "required at least 2^20000, budget 100000\n"
+        ), argv
+
+
 def test_coherent_incoherent_book(tmp_path, capsys):
     path = tmp_path / "book.json"
     path.write_text(json.dumps(BOOK_INCOHERENT))

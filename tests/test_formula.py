@@ -75,6 +75,51 @@ def test_parse_errors_carry_positions():
         parse("v1 v2")
 
 
+_SYMBOLS = ("<->", "->", "\\/", "/\\", "(+)", "(-)", "(.)")
+_PREFIXES = ("!", "D[1/3] ", "N[2/5] ")
+_LEAVES = ("v1", "v2", "v3", "C[1/2]", "C[0]", "C[1]")
+_TOKENS = _SYMBOLS + _LEAVES + ("v0", "C[", "D[", "N[", "]", "(", ")", "!")
+_TOKENS += ("1/2", "3/2", "1/0", "0.25", "7", "@", "<-", "-")
+
+
+def _chain(rng, depth):
+    # 1-4 prefixed operands joined by random connectives, some parenthesized
+    sep = rng.choice(("", " ", " "))
+    operands = []
+    for _ in range(rng.randint(1, 4)):
+        operand = "(" + _chain(rng, depth - 1) + ")" if depth and rng.random() < 0.3 else rng.choice(_LEAVES)
+        operands.append("".join(rng.choices(_PREFIXES, k=rng.choice((0, 0, 1, 2)))) + operand)
+    return operands[0] + "".join(f"{sep}{rng.choice(_SYMBOLS)}{sep}{o}" for o in operands[1:])
+
+
+def _error_text(text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_parsed_trees_are_pinned():
+    # sha256 of the trees that the one-method-per-precedence-level parser built
+    rng = random.Random(131)
+    text = "\n".join(repr(parse(_chain(rng, 2))) for _ in range(20_000))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c00a64816332716a38ef216ec252065dc3fc756dc7a5fa2ccca30079a128bf69"
+    )
+
+
+def test_parse_errors_are_pinned():
+    # sha256 of the error texts (positions included) that the same parser gave
+    rng = random.Random(137)
+    texts = [rng.choice(("", " ")).join(rng.choices(_TOKENS, k=rng.randint(1, 8))) for _ in range(20_000)]
+    errors = [_error_text(t) for t in texts]
+    assert sum(e != "ok" for e in errors) == 19_449
+    assert hashlib.sha256("\n".join(errors).encode()).hexdigest() == (
+        "8e84c3a5a9f9dae4e780480b881fa5bfbbe43c5a16f2270ef3746ae024cd51ea"
+    )
+
+
 def test_print_round_trips_examples():
     for text in ("v1 -> v1", "D[1/2] v1", "!v1 (+) v2"):
         phi = parse(text)
@@ -213,13 +258,21 @@ def test_conservative_over_lukasiewicz_random():
         assert evaluate(phi, x) == luk_eval(phi, x)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda r: Nabla(r, Var(1)), lambda r: Delta(r, Var(1)), RConst], ids=["Nabla", "Delta", "RConst"]
+)
+@pytest.mark.parametrize(
+    "r, error", [(F(3, 2), ValueError), (F(-1, 2), ValueError), (0.5, TypeError)], ids=["3/2", "-1/2", "float"]
+)
+def test_scalar_nodes_check_their_range(make, r, error):
+    with pytest.raises(error):
+        make(r)
+    assert make(F(1, 2)).r == F(1, 2)
+
+
 def test_node_validation():
     with pytest.raises(ValueError):
         Var(0)
-    with pytest.raises(ValueError):
-        Delta(F(3, 2), Var(1))
-    with pytest.raises(ValueError):
-        RConst(F(-1, 2))
     # the printer's stack holds text too; a text child is still no formula
     for bad in (Neg("v1"), Implies(Var(1), ")")):
         with pytest.raises(TypeError, match="not a formula node"):

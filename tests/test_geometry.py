@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from rieszmv import (
     unit_norm,
     vertices_from_components,
 )
+from rieszmv.geometry import _differences, _hyperplanes, _is_facet
 
 from helpers import (
     brute_vertices,
@@ -121,6 +123,27 @@ def test_vertex_enumeration_matches_the_fraction_oracle():
         with pytest.raises(BudgetExceededError) as oracle:
             brute_vertices(n, affines, budget=0)
         assert str(ours.value) == str(oracle.value)
+
+
+def test_hyperplanes_are_counted_before_they_are_built():
+    # the budget check counts the facets among the difference rows; the rows
+    # it counts are the ones the walk then builds
+    rng = random.Random(109)
+    cases = []
+    for trial in range(160):
+        n = trial % 5 + 1
+        cases.append((n, _component_set(rng, n, _KINDS[trial // 5 % len(_KINDS)])))
+    # differences x1, x1 - 1 (facets), 2 x1 - 1 and x2 + 1/2 (not facets)
+    pieces = ((0, 0, 0), (0, 1, 0), (-1, 1, 0), (-1, 2, 0), (F(1, 2), 0, 1))
+    cases.append((2, [Affine(2, tuple(map(F, c))) for c in pieces]))
+    facets = 0
+    for n, affines in cases:
+        differences = _differences(affines)
+        facets += sum(map(_is_facet, differences))
+        with pytest.raises(BudgetExceededError) as err:
+            vertices_from_components(n, affines, budget=0)
+        assert err.value.size == math.comb(len(_hyperplanes(n, differences)), n), (n, affines)
+    assert facets > 10
 
 
 def test_vertex_enumeration_matches_the_oracle_on_term_functions():
