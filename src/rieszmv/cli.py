@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 from . import coherence, geometry, synthesis
 from .errors import BudgetExceededError, RangeViolationError
@@ -52,7 +53,7 @@ def _fmt_point(point):
 
 def _load_json(path):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_float=Fraction)  # numbers stay exact
 
 
 def cmd_eval(args):

@@ -234,7 +234,7 @@ def signed_difference(phi: Formula, r, c) -> Formula:
 def book_from_json(data) -> Book:
     """Book file format: {"events": [{"formula": str, "odd": "p/q"}, ...]}."""
     if isinstance(data, str):
-        data = json.loads(data)
+        data = json.loads(data, parse_float=Fraction)
     try:
         events = tuple(
             (parse(entry["formula"]), Fraction(str(entry["odd"])))
@@ -273,7 +273,7 @@ def certificate_to_json(result) -> dict:
 
 def certificate_from_json(data):
     if isinstance(data, str):
-        data = json.loads(data)
+        data = json.loads(data, parse_float=Fraction)
     try:
         if data["kind"] == "coherent":
             support = tuple(

@@ -8,9 +8,10 @@ equivalence, truncated difference and rational constants are kept as
 distinct nodes so printing preserves the input, but their meaning is fixed
 by expansion into the primitives.
 
-:func:`arity`, :func:`evaluate`, :func:`expand` and ``pwl.term_pwl`` are each
-one loop over the cached node list of :func:`program`, and
-:func:`format_formula`, ``==``, ``hash()`` and ``repr()`` keep explicit stacks,
+:func:`program` is the one formula walk: a cached node list in which equal
+subformulas share one entry.  :func:`arity`, :func:`evaluate`, :func:`expand`
+and ``pwl.term_pwl`` are each one loop over it, and ``==`` and ``hash()`` read
+it.  :func:`format_formula` and ``repr()`` keep explicit stacks of their own,
 so formulas built in code may be of any depth; only the parser recurses.
 
 Concrete grammar (ASCII, precedence low to high, ``->`` right-associative)::
@@ -55,10 +56,10 @@ class ParseError(ValueError):
 class Formula:
     """Base class for formula nodes.  Instances are immutable.
 
-    ``==`` and ``repr()`` are those a dataclass would generate over the
-    node's fields (its ``__match_args__``), and ``hash()`` agrees with
-    ``==``; all three keep explicit stacks so that formulas of any depth
-    compare, hash and print.
+    ``==`` is structural, as a dataclass would generate it over the node's
+    fields (its ``__match_args__``), and ``hash()`` agrees with it; both
+    read :func:`program`, so formulas of any depth compare and hash.
+    ``repr()`` is the dataclass one and keeps an explicit stack.
     """
 
     # node list built by the first program() call; not part of equality
@@ -70,39 +71,12 @@ class Formula:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        seen = set()  # id pairs already compared; both roots keep the nodes alive
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if type(a) is not type(b):
-                return False
-            seen.add((id(a), id(b)))
-            for name in reversed(a.__match_args__):  # left fields are compared first
-                u, v = getattr(a, name), getattr(b, name)
-                if isinstance(u, Formula):
-                    stack.append((u, v))
-                elif u != v:
-                    return False
-        return True
+        return program(self) == program(other)
 
     def __hash__(self):
-        hashes = {}  # id(node) -> hash; self keeps every node alive
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            if id(node) in hashes:
-                stack.pop()
-                continue
-            values = [getattr(node, name) for name in node.__match_args__]
-            pending = [v for v in values if isinstance(v, Formula) and id(v) not in hashes]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            hashes[id(node)] = hash(tuple(hashes[id(v)] if isinstance(v, Formula) else v for v in values))
-        return hashes[id(self)]
+        # payloads and child positions only, so Odot and Oplus over the same
+        # operands hash alike, as the dataclass-generated hash had it
+        return hash(tuple(entry[1:4] for entry in program(self)))
 
     def __repr__(self):
         out = []
@@ -236,18 +210,20 @@ _BINARY = {symbol.strip(): (level, kind, right) for kind, (symbol, level, _, rig
 
 
 def program(phi: Formula) -> tuple:
-    """The distinct nodes of ``phi``, children first and left before right.
+    """The distinct subformulas of ``phi``, children first and left before right.
 
     Entries are ``(type, payload, i, j, den)``: the variable index or scalar
     (else None), the positions of the children's entries (else None), and a
     denominator of the node's value at every integer point (the lcm over
-    paths to the leaves of the product of their scalar denominators).  The
-    walk uses an explicit stack; the tuple holds no nodes and is cached.
+    paths to the leaves of the product of their scalar denominators).  Equal
+    subformulas share one entry, one node or not, so equal formulas have
+    equal programs.  The walk keeps an explicit stack; the tuple is cached.
     """
     cached = getattr(phi, "_program", None)
     if cached is not None:
         return cached
     entries = []
+    index = {}  # (type, payload, i, j) -> position: equal subformulas share one entry
     position = {}  # id(node) -> entry index; phi keeps every node alive
     stack = [phi]
     while stack:
@@ -257,7 +233,7 @@ def program(phi: Formula) -> tuple:
             continue
         kind = type(node)
         if kind is Var:
-            entry = (Var, node.index, None, None, 1)
+            key = (Var, node.index, None, None)
         elif kind in _INFIX:
             i = position.get(id(node.left))
             j = position.get(id(node.right))
@@ -267,22 +243,27 @@ def program(phi: Formula) -> tuple:
                 if i is None:
                     stack.append(node.left)
                 continue
-            di = entries[i][4]
-            dj = entries[j][4]
-            entry = (kind, None, i, j, di if di == dj else math.lcm(di, dj))
+            key = (kind, None, i, j)
         elif kind is Neg or kind is Nabla or kind is Delta:
             i = position.get(id(node.child))
             if i is None:
                 stack.append(node.child)
                 continue
-            r = None if kind is Neg else node.r
-            entry = (kind, r, i, None, entries[i][4] * (1 if r is None else r.denominator))
+            key = (kind, None if kind is Neg else node.r, i, None)
         elif kind is RConst:
-            entry = (RConst, node.r, None, None, node.r.denominator)
+            key = (RConst, node.r, None, None)
         else:
             raise TypeError(f"not a formula node: {node!r}")
-        position[id(node)] = len(entries)
-        entries.append(entry)
+        k = index.setdefault(key, len(entries))
+        if k == len(entries):  # a new subformula: find its den
+            _, r, i, j = key
+            if j is None:  # a leaf or unary node; an int payload has denominator 1
+                den = (1 if i is None else entries[i][4]) * (1 if r is None else r.denominator)
+            else:
+                di, dj = entries[i][4], entries[j][4]
+                den = di if di == dj else math.lcm(di, dj)
+            entries.append(key + (den,))
+        position[id(node)] = k
         stack.pop()
     entries = tuple(entries)
     object.__setattr__(phi, "_program", entries)
@@ -361,7 +342,7 @@ def expand(phi: Formula) -> Formula:
     """Rewrite ``phi`` into the primitive connectives Var/Neg/Implies/Nabla.
 
     Evaluation commutes with expansion; this is the definitional reading of
-    the derived nodes.  Shared subformulas stay shared.
+    the derived nodes.  Equal subformulas expand to one shared node.
     """
     out = []
     append = out.append

@@ -28,6 +28,8 @@ from .errors import BudgetExceededError
 from .formula import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Oplus, RConst, Var, program
 
 DEFAULT_PIECE_CAP = 100_000
+# box corners prune may tabulate; stays put when the piece cap is lowered
+_CORNER_LIMIT = DEFAULT_PIECE_CAP
 _COVERAGE_LIMIT = 1200
 
 
@@ -159,10 +161,9 @@ def components(f: MaxMin):
     return tuple(_affine(f.n, f.den, row) for row in rows)
 
 
-def _check_cap(pieces, cap, what):
-    cap = DEFAULT_PIECE_CAP if cap is None else cap
-    if pieces > cap:
-        raise BudgetExceededError(f"{what} would exceed the piece cap", pieces, cap)
+def _check_cap(pieces, what):
+    if pieces > DEFAULT_PIECE_CAP:
+        raise BudgetExceededError(f"{what} would exceed the piece cap", pieces, DEFAULT_PIECE_CAP)
 
 
 def _rows_over(f: MaxMin, den):
@@ -181,7 +182,7 @@ def _common(f: MaxMin, g: MaxMin):
     return den, _rows_over(f, den), _rows_over(g, den)
 
 
-def mm_add(f: MaxMin, g: MaxMin, cap=None) -> MaxMin:
+def mm_add(f: MaxMin, g: MaxMin) -> MaxMin:
     """Pointwise sum.
 
     Sums of maxima distribute over pairs of groups, and sums of minima over
@@ -189,7 +190,7 @@ def mm_add(f: MaxMin, g: MaxMin, cap=None) -> MaxMin:
     has one group per group pair, holding all pairwise piece sums.
     """
     den, frows, grows = _common(f, g)
-    _check_cap(f.piece_count * g.piece_count, cap, "pointwise sum")
+    _check_cap(f.piece_count * g.piece_count, "pointwise sum")
     groups = [[tuple(map(add, a, b)) for a in gf for b in gg] for gf in frows for gg in grows]
     return _maxmin(f.n, den, groups)
 
@@ -206,7 +207,7 @@ def mm_scale(r, f: MaxMin) -> MaxMin:
     return _maxmin(f.n, f.den * r.denominator, groups)
 
 
-def _reflect(f: MaxMin, c: int, cap=None) -> MaxMin:
+def _reflect(f: MaxMin, c: int) -> MaxMin:
     """Max-Min form of the reflection ``c - f``.
 
     ``c - max min`` is a min of maxes; redistributing the min over the
@@ -223,25 +224,25 @@ def _reflect(f: MaxMin, c: int, cap=None) -> MaxMin:
         tuple((top - row[0],) + tuple(-x for x in row[1:]) for row in group) for group in f.rows
     ]
     reflected.sort(key=lambda factor: (len(factor), factor))
-    _check_cap(len(reflected[0]), cap, "reflection")
+    _check_cap(len(reflected[0]), "reflection")
     groups = [(piece,) for piece in reflected[0]]
     for factor in reflected[1:]:
         pieces = sum(len(g) + 1 for g in groups) * len(factor)
-        _check_cap(pieces, cap, "reflection")
+        _check_cap(pieces, "reflection")
         groups = [g + (piece,) for g in groups for piece in factor]
         if len(reflected) > 2:
             groups = _rows_over(prune(_maxmin(n, den, groups)), den)
     return _maxmin(n, den, groups)
 
 
-def mm_neg_affine(f: MaxMin, cap=None) -> MaxMin:
+def mm_neg_affine(f: MaxMin) -> MaxMin:
     """Pointwise 1 - f."""
-    return _reflect(f, 1, cap)
+    return _reflect(f, 1)
 
 
-def mm_negate(f: MaxMin, cap=None) -> MaxMin:
+def mm_negate(f: MaxMin) -> MaxMin:
     """Pointwise -f."""
-    return _reflect(f, 0, cap)
+    return _reflect(f, 0)
 
 
 def mm_join(f: MaxMin, g: MaxMin) -> MaxMin:
@@ -250,22 +251,22 @@ def mm_join(f: MaxMin, g: MaxMin) -> MaxMin:
     return _maxmin(f.n, den, frows + grows)
 
 
-def mm_meet(f: MaxMin, g: MaxMin, cap=None) -> MaxMin:
+def mm_meet(f: MaxMin, g: MaxMin) -> MaxMin:
     """Pointwise min: min distributes over the maxes, giving merged groups."""
     den, frows, grows = _common(f, g)
     pieces = len(g.rows) * f.piece_count + len(f.rows) * g.piece_count
-    _check_cap(pieces, cap, "pointwise min")
+    _check_cap(pieces, "pointwise min")
     return _maxmin(f.n, den, [gf + gg for gf in frows for gg in grows])
 
 
-def trunc(f: MaxMin, cap=None) -> MaxMin:
+def trunc(f: MaxMin) -> MaxMin:
     """Unit truncation ``(f v 0) ^ 1``, clamping values into [0, 1]."""
     zero = (0,) * (f.n + 1)
     one = (f.den,) + zero[1:]
-    # mm_meet(mm_join(f, 0), 1, cap): one more group {0}, then 1 in every group
+    # mm_meet(mm_join(f, 0), 1): one more group {0}, then 1 in every group
     groups = set(f.rows)
     groups.add((zero,))
-    _check_cap(sum(map(len, groups)) + len(groups), cap, "pointwise min")
+    _check_cap(sum(map(len, groups)) + len(groups), "pointwise min")
     return prune(_maxmin(f.n, f.den, [g + (one,) for g in groups]))
 
 
@@ -277,14 +278,15 @@ def prune(f: MaxMin) -> MaxMin:
     other group's min is redundant under the max.  Affine comparisons are
     decided exactly at the box corners (the difference of two pieces is
     affine, so its sign at the corners extends to their convex hull).
-    Values are preserved at every point of the box.  More corners than the
-    default piece cap is a :class:`BudgetExceededError`.
+    Values are preserved at every point of the box.  More than
+    ``_CORNER_LIMIT`` corners is a :class:`BudgetExceededError`.
     """
     rows = f.rows
     if len(rows) == 1 and len(rows[0]) == 1:
         return f
     n = f.n
-    _check_cap(2**n, None, "box corner table for pruning")
+    if 2**n > _CORNER_LIMIT:
+        raise BudgetExceededError("box corner table for pruning would exceed the piece cap", 2**n, _CORNER_LIMIT)
 
     # Intern distinct pieces to small integers in order of first appearance.
     pieces = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
@@ -357,7 +359,7 @@ def prune(f: MaxMin) -> MaxMin:
     return _maxmin(n, f.den, final)
 
 
-def term_pwl(phi, n: int, cap=None) -> MaxMin:
+def term_pwl(phi, n: int) -> MaxMin:
     """The term function of ``phi`` on [0, 1]^n as a Max-Min object.
 
     One pass over :func:`rieszmv.formula.program`: variables become
@@ -376,9 +378,9 @@ def term_pwl(phi, n: int, cap=None) -> MaxMin:
         elif kind is RConst:
             f = constant(n, r)
         elif kind is Neg:
-            f = prune(mm_neg_affine(out[i], cap))
+            f = prune(mm_neg_affine(out[i]))
         elif kind is Implies:
-            f = trunc(mm_add(mm_neg_affine(out[i], cap), out[j], cap), cap)
+            f = trunc(mm_add(mm_neg_affine(out[i]), out[j]))
         elif kind is Nabla:
             # 1 - r + r*f; r = 0 and r = 1 collapse to a constant / identity
             if r == 0:
@@ -386,28 +388,28 @@ def term_pwl(phi, n: int, cap=None) -> MaxMin:
             elif r == 1:
                 f = out[i]
             else:
-                f = prune(mm_add(constant(n, 1 - r), mm_scale(r, out[i]), cap))
+                f = prune(mm_add(constant(n, 1 - r), mm_scale(r, out[i])))
         elif kind is Delta:
             f = out[i] if r == 1 else mm_scale(r, out[i])
         elif kind is Oplus:
-            f = trunc(mm_add(out[i], out[j], cap), cap)
+            f = trunc(mm_add(out[i], out[j]))
         elif kind is Odot:
-            f = trunc(mm_add(mm_add(out[i], out[j], cap), constant(n, -1), cap), cap)
+            f = trunc(mm_add(mm_add(out[i], out[j]), constant(n, -1)))
         elif kind is Join:
             f = prune(mm_join(out[i], out[j]))
         elif kind is Meet:
-            f = prune(mm_meet(out[i], out[j], cap))
+            f = prune(mm_meet(out[i], out[j]))
         elif kind is Iff:
-            fwd = trunc(mm_add(mm_neg_affine(out[i], cap), out[j], cap), cap)
-            bwd = trunc(mm_add(mm_neg_affine(out[j], cap), out[i], cap), cap)
-            f = prune(mm_meet(fwd, bwd, cap))
+            fwd = trunc(mm_add(mm_neg_affine(out[i]), out[j]))
+            bwd = trunc(mm_add(mm_neg_affine(out[j]), out[i]))
+            f = prune(mm_meet(fwd, bwd))
         else:  # Ominus
-            f = trunc(mm_add(out[i], mm_negate(out[j], cap), cap), cap)
+            f = trunc(mm_add(out[i], mm_negate(out[j])))
         append(f)
     return out[-1]
 
 
-def linear_combination(fs, cs, cap=None) -> MaxMin:
+def linear_combination(fs, cs) -> MaxMin:
     """Truncation of ``sum(c_i * f_i)`` in Max-Min form.
 
     Negative weights go through the exact reflection, so the contract is
@@ -427,9 +429,9 @@ def linear_combination(fs, cs, cap=None) -> MaxMin:
     for c, f in zip(cs, fs):
         if c == 0:
             continue
-        term = mm_scale(c, f) if c > 0 else mm_negate(mm_scale(-c, f), cap)
-        acc = prune(mm_add(acc, term, cap))
-    return trunc(acc, cap)
+        term = mm_scale(c, f) if c > 0 else mm_negate(mm_scale(-c, f))
+        acc = prune(mm_add(acc, term))
+    return trunc(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def synth_trunc_affine(f: Affine) -> Formula:
     if sum(positive) - negative[0] <= 0:  # f's maximum on the box
         return RConst(0)
     m = math.ceil(max(sum(positive), max(negative)))
-    _check_cap(m, None, "synthesis of a truncated affine piece")
+    _check_cap(m, "synthesis of a truncated affine piece")
     h = _chain(positive, m)
     subtrahend = _chain(negative, m)
     if subtrahend is not None:

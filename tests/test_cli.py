@@ -219,6 +219,32 @@ def test_certificate_numbers_read_like_book_numbers(tmp_path, capsys):
         assert (code, out) == (EXIT_OK, "verified\n"), point
 
 
+def test_json_numbers_are_read_exactly(tmp_path, capsys):
+    # a JSON number means its decimal text, never the nearest binary float
+    book = tmp_path / "book.json"
+    book.write_text('{"events": [{"formula": "v1", "odd": 0.30000000000000001}]}')
+    code, out, _ = run(capsys, "coherent", str(book))
+    weights = [entry["weight"] for entry in json.loads(out)["support"]]
+    assert (code, weights) == (
+        EXIT_OK,
+        ["69999999999999999/100000000000000000", "30000000000000001/100000000000000000"],
+    )
+    pwl = tmp_path / "pwl.json"
+    for number, text in (
+        ("0.12345678901234567890123", f"C[12345678901234567890123/{10**23}]"),
+        ("1e-400", f"C[1/{10**400}]"),
+    ):
+        pwl.write_text(f'{{"n": 1, "groups": [[[{number}, 0]]]}}')
+        assert run(capsys, "synth", str(pwl)) == (EXIT_OK, text + "\n", ""), number
+    pwl.write_text('{"n": 1.0, "groups": [[[0.5, 0]]]}')
+    assert run(capsys, "synth", str(pwl))[0] == EXIT_DOMAIN
+    # the entry points that take JSON text read numbers the same way
+    text = '{"events": [{"formula": "v1", "odd": 0.30000000000000001}]}'
+    assert coherence.book_from_json(text).events[0][1] == F(30000000000000001, 10**17)
+    cert = coherence.certificate_from_json('{"kind": "incoherent", "stakes": [1e-400], "margin": 0.1}')
+    assert (cert.dutch_book.stakes, cert.dutch_book.margin) == ((F(1, 10**400),), F(1, 10))
+
+
 def test_span(tmp_path, capsys):
     path = tmp_path / "book.json"
     path.write_text(json.dumps({"events": [{"formula": "v1", "odd": "1/2"}]}))

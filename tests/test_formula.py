@@ -32,10 +32,12 @@ from rieszmv import (
     parse,
     program,
     scalar_mul,
+    synth_pwl,
     term_pwl,
+    trunc,
 )
 
-from helpers import luk_eval, rand_formula, rand_point, rand_unit
+from helpers import luk_eval, rand_formula, rand_maxmin, rand_point, rand_unit
 
 F = Fraction
 
@@ -291,6 +293,23 @@ def test_program_lists_each_distinct_node_once_children_first():
     assert program(RConst(F(2, 9)))[-1][4] == 9
 
 
+def test_program_gives_equal_subformulas_one_entry():
+    # v1, v2, v1 -> v2 and the sum: the parser's two copies share one entry
+    assert len(program(parse("(v1 -> v2) (+) (v1 -> v2)"))) == 4
+    # the formulas of the printer pin: joined with its parsed copy, a
+    # formula gains only the join's entry
+    rng = random.Random(113)
+    for k in range(3000):
+        phi = rand_formula(rng, rng.randint(1, 4), rng.randint(0, 7), scalars=bool(k % 2))
+        assert len(program(Join(phi, parse(format_formula(phi))))) == len(program(phi)) + 1
+    # synthesis shares one summand m times; its printed tree parses back to
+    # the same program
+    rng = random.Random(139)
+    for _ in range(50):
+        phi = synth_pwl(trunc(rand_maxmin(rng, rng.randint(1, 2))))
+        assert program(parse(format_formula(phi))) == program(phi)
+
+
 def test_shared_subformulas_evaluate_like_their_tree():
     shared = parse("v1 (.) D[2/3] v2")
     dag = Implies(shared, Oplus(shared, Neg(shared)))
@@ -434,10 +453,16 @@ def test_equality_is_structural():
     assert hash(Odot(Var(1), Var(2))) == hash(Oplus(Var(1), Var(2)))  # as the dataclass had it
     assert Nabla(F(1, 2), Var(1)) != Delta(F(1, 2), Var(1))
     assert Nabla(F(1, 2), Var(1)) != Nabla(F(1, 3), Var(1))
-    assert Var(1) != 1 and Var(1) != "v1" and Neg(Var(1)) != Neg("x")
+    assert Var(1) != 1 and Var(1) != "v1"
+    # a node with a non-formula child is no formula; only repr() prints it
+    with pytest.raises(TypeError, match="not a formula node"):
+        Neg(Var(1)) != Neg("x")
+    with pytest.raises(TypeError, match="not a formula node"):
+        hash(Neg("x"))
     assert repr(Neg("x")) == "Neg(child='x')"
     assert {Join(shared, shared): 1}[parse("(v1 (+) D[1/3] v2) \\/ (v1 (+) D[1/3] v2)")] == 1
-    # 2^40 leaves as a tree: equality and hashing walk each distinct pair once
+    # 2^40 leaves as a tree: equality and hashing read one program entry per
+    # distinct subformula
     left, right, other = Var(1), Var(1), Var(1)
     for k in range(40):
         left, right = Join(left, left), Join(right, right)

@@ -43,6 +43,7 @@ from rieszmv import (
     term_pwl,
     trunc,
 )
+from rieszmv import pwl
 from rieszmv.geometry import candidate_vertices
 
 from helpers import (
@@ -321,14 +322,17 @@ def test_linear_combination_validation():
         linear_combination([projection(1, 1), projection(2, 1)], [F(1), F(1)])
 
 
-def test_piece_cap_aborts_loudly():
+def test_piece_cap_aborts_loudly(monkeypatch):
     f = _mm(2, ((F(0), F(1), F(0)), (F(0), F(0), F(1))), ((F(1), F(-1), F(0)), (F(1), F(0), F(-1))))
+    monkeypatch.setattr(pwl, "DEFAULT_PIECE_CAP", 1)
     with pytest.raises(BudgetExceededError) as err:
-        mm_neg_affine(f, cap=1)
+        mm_neg_affine(f)
     assert err.value.budget == 1
     assert err.value.size > 1
+    monkeypatch.setattr(pwl, "DEFAULT_PIECE_CAP", 2)
     with pytest.raises(BudgetExceededError):
-        mm_add(f, f, cap=2)
+        mm_add(f, f)
+    monkeypatch.undo()
     # pruning compares pieces at all 2**n box corners; a high variable
     # index aborts before that table is built
     with pytest.raises(BudgetExceededError) as err:
@@ -457,9 +461,10 @@ def _outcome(call, *args):
 
 
 @pytest.mark.parametrize("shape", ["small", "coprime", "digits", "cap"])
-def test_integer_rows_match_the_fraction_oracle(shape):
+def test_integer_rows_match_the_fraction_oracle(shape, monkeypatch):
     # term_pwl and linear_combination take the Fraction pipeline's steps on
-    # integer rows, so every result, and every piece-cap error, is equal
+    # integer rows, so every result, and every piece-cap error, is equal;
+    # the oracle takes the cap as an argument, the package as its constant
     rng = random.Random(f"pwl-oracle:{shape}")
     hits = 0
     for _ in range(125):
@@ -470,7 +475,8 @@ def test_integer_rows_match_the_fraction_oracle(shape):
         fs = []
         for _ in range(4):
             phi = _oracle_formula(rng, n, rng.randint(1, 4), shape, pool)
-            got = _outcome(term_pwl, phi, n, cap)
+            monkeypatch.setattr(pwl, "DEFAULT_PIECE_CAP", cap)
+            got = _outcome(term_pwl, phi, n)
             assert got == _outcome(fraction_term_pwl, phi, n, cap), (phi, n, cap)
             if isinstance(got, tuple):
                 hits += 1
@@ -486,7 +492,8 @@ def test_integer_rows_match_the_fraction_oracle(shape):
         else:
             cs = [F(rng.randint(-40, 40), rng.choice(_COPRIME)) for _ in fs]
         cap = min(cap, 500)  # a reflected sum of large functions grows fast
-        got = _outcome(linear_combination, fs, cs, cap)
+        monkeypatch.setattr(pwl, "DEFAULT_PIECE_CAP", cap)
+        got = _outcome(linear_combination, fs, cs)
         assert got == _outcome(fraction_linear_combination, fs, cs, cap), (fs, cs, cap)
         hits += isinstance(got, tuple)
     assert hits > 50 if shape == "cap" else hits < 25, hits
