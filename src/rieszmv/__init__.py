@@ -2,7 +2,7 @@
 
 Formula evaluation, piecewise-linear term functions in Max-Min form,
 formula synthesis from piecewise-linear data, semantic decision procedures
-by exact vertex enumeration, and a de Finetti coherence checker with
+by exact linear programming, and a de Finetti coherence checker with
 verifiable certificates.  All arithmetic is exact rational.
 """
 
@@ -38,6 +38,7 @@ from .formula import (
     evaluate,
     expand,
     format_formula,
+    nnf,
     parse,
     program,
 )

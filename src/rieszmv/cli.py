@@ -168,7 +168,8 @@ def build_parser():
         "--budget",
         type=int,
         default=None,
-        help="vertex-enumeration cap (also via RIESZ_BUDGET)",
+        help="cap on simplex pivots (min, max, valid, invalid, norm, equiv) or on "
+        "vertex-enumeration subsets (synth, coherent, span); also via RIESZ_BUDGET",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

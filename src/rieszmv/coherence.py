@@ -24,7 +24,7 @@ from .formula import Formula, Ominus, Oplus, Nabla, RConst, arity, evaluate, for
 from .geometry import vertices_from_components
 from .kernel import ONE, UnitRational, ZERO
 from .lp import INFEASIBLE, solve_lp
-from .pwl import MaxMin, _exact, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
+from .pwl import MaxMin, _exact, _json_number, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
 from .synthesis import synth_pwl
 
 
@@ -237,7 +237,7 @@ def book_from_json(data) -> Book:
         data = json.loads(data, parse_float=Fraction)
     try:
         events = tuple(
-            (parse(entry["formula"]), Fraction(str(entry["odd"])))
+            (parse(entry["formula"]), _json_number(entry["odd"]))
             for entry in data["events"]
         )
     except (KeyError, TypeError, ZeroDivisionError) as exc:
@@ -277,14 +277,14 @@ def certificate_from_json(data):
     try:
         if data["kind"] == "coherent":
             support = tuple(
-                (tuple(Fraction(str(c)) for c in entry["point"]), Fraction(str(entry["weight"])))
+                (tuple(map(_json_number, entry["point"])), _json_number(entry["weight"]))
                 for entry in data["support"]
             )
             return Coherent(StateWitness(support))
         if data["kind"] == "incoherent":
             return Incoherent(
                 DutchBook(
-                    tuple(Fraction(str(c)) for c in data["stakes"]), Fraction(str(data["margin"]))
+                    tuple(map(_json_number, data["stakes"])), _json_number(data["margin"])
                 )
             )
     except (KeyError, TypeError, ZeroDivisionError) as exc:

@@ -1,14 +1,23 @@
-"""Exact optimization and decision procedures via arrangement vertices.
+"""Exact extrema over [0, 1]^n: group LPs for formulas, vertices for Max-Min data.
 
-A Max-Min function is affine on every cell of the arrangement cut out by
-the pairwise differences of its pieces together with the box facets, so its
-extrema over [0, 1]^n are attained at cell vertices: intersections of n
-independent hyperplanes from that family.  :func:`vertices_from_components`
-finds them in integer arithmetic, walking the n-subsets of the hyperplanes
-(budgeted by their number, C(H, n)) with a null-space basis of each prefix.
-:func:`extrema`, the one scan of those vertices, gives certified minima and
-maxima, and with them validity, invalidity, semantic equivalence and the unit
-seminorm of formulas.
+A formula's maximum is the largest, over the groups of its term function,
+of max_x min_{a in G} a(x): one small LP per group (:func:`lp.solve_lp`,
+integer rows), skipped for one-piece groups and for groups whose bound
+cannot beat the best value so far.  Its minimum is 1 - max of ``!phi`` in
+negation normal form (:func:`formula.nnf`), whose term function reflects
+only projections.  The witness is the lexicographically least extremal
+point, found by successive LPs; it is an arrangement vertex, so it is the
+point the vertex scan below reports first.  Validity, invalidity, semantic
+equivalence and the unit seminorm read these values.  ``--budget`` caps
+the simplex pivots of one such call.
+
+A bare Max-Min function has no formula to negate, so :func:`extrema` keeps
+the vertex scan: the function is affine on every cell of the arrangement cut
+out by the pairwise differences of its pieces together with the box facets,
+so its extrema are attained at cell vertices, intersections of n independent
+hyperplanes from that family.  :func:`vertices_from_components` finds them
+in integer arithmetic, walking the n-subsets of the hyperplanes (budgeted by
+their number, C(H, n)) with a null-space basis of each prefix.
 """
 
 from __future__ import annotations
@@ -20,15 +29,17 @@ import os
 from fractions import Fraction
 
 from .errors import BudgetExceededError
-from .formula import Ominus, Oplus, arity, evaluate
+from .formula import Ominus, Oplus, arity, evaluate, nnf
 from .kernel import ONE, ZERO
+from .lp import solve_lp
 from .pwl import MaxMin, components, maxmin_eval, term_pwl
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
 
 
 def effective_budget(budget=None):
-    """Resolve the vertex budget: explicit value, RIESZ_BUDGET, or default."""
+    """Resolve the budget (vertex subsets, or simplex pivots for formula
+    extrema): explicit value, RIESZ_BUDGET, or default."""
     if budget is not None:
         return budget
     env = os.environ.get("RIESZ_BUDGET")
@@ -143,34 +154,162 @@ def extrema(f: MaxMin, budget=None):
     return min(scan, key=by_value) + max(scan, key=by_value)
 
 
-def _term_extrema(phi, budget):
+def _upper(row):
+    # the most a piece reaches on the box
+    return row[0] + sum(c for c in row[1:] if c > 0)
+
+
+def _box_max(f: MaxMin, budget):
+    """``(hi, at)``: the maximum of ``f`` over the box, and a function giving
+    the lexicographically least point where it is attained.
+
+    Groups are visited by descending bound (the least of their pieces'
+    maxima) while a bound exceeds the best value so far; a one-piece group's
+    value is its bound, any other group's is one LP.  ``at()`` also checks
+    the groups whose bound equals the maximum, then takes the least of the
+    attaining groups' lexicographic minima.  Every LP counts its simplex
+    pivots against one budget.
+    """
+    n = f.n
+    budget = effective_budget(budget)
+    spent = 0
+
+    def solve(a_rows, b, c, stage):
+        nonlocal spent
+        result = solve_lp(a_rows, b, c)
+        spent += result.pivots
+        if spent > budget:
+            raise BudgetExceededError(f"simplex pivots of the {stage} in dimension {n}", spent, budget)
+        return result
+
+    def value(bound, group):
+        return bound if len(group) == 1 else _group_max(group, n, solve)
+
+    order = sorted(((min(map(_upper, g)), g) for g in f.rows), key=operator.itemgetter(0), reverse=True)
+    best, attaining = value(*order[0]), [order[0][1]]
+    k = 1
+    while k < len(order) and order[k][0] > best:
+        v = value(*order[k])
+        if v > best:
+            best, attaining = v, []
+        if v == best:
+            attaining.append(order[k][1])
+        k += 1
+
+    def at():
+        tied = itertools.takewhile(lambda item: item[0] == best, order[k:])
+        groups = attaining + [group for bound, group in tied if value(bound, group) == best]
+        return min(_lexmin(group, best, n, solve) for group in groups)
+
+    return Fraction(best, f.den), at
+
+
+def _group_max(group, n, solve):
+    """max over the box of the least piece of ``group``, in numerator units.
+
+    A coordinate whose coefficients in the group share one sign is fixed at
+    its best end.  Over the others the value t lies in [L, U], L and U the
+    least of the pieces' minima and of their maxima; with t = L + (U - L) s
+    it is one LP: maximize s subject to a(x) >= L + (U - L) s for each
+    piece a, with x and s in [0, 1].
+    """
+    consts = [row[0] for row in group]
+    mixed = []
+    for i in range(1, n + 1):
+        column = [row[i] for row in group]
+        if max(column) > 0 > min(column):
+            mixed.append(i)
+        elif max(column) > 0:
+            consts = [c + a for c, a in zip(consts, column)]  # x_i = 1
+    low = min(c + sum(row[i] for i in mixed if row[i] < 0) for c, row in zip(consts, group))
+    span = min(c + sum(row[i] for i in mixed if row[i] > 0) for c, row in zip(consts, group)) - low
+    if not span:
+        return low
+    rows = [[row[i] for i in mixed] + [-span] for row in group]
+    cost = [0] * len(mixed) + [-1]
+    return low - span * _box_lp(rows, [low - c for c in consts], cost, solve, "group maxima")
+
+
+def _box_lp(rows, rhs, cost, solve, stage):
+    """min cost*x over x in [0, 1]^v subject to row*x >= r for each row and r."""
+    m, v = len(rows), len(cost)
+    a_rows = [row + [-int(h == g) for g in range(m)] + [0] * v for h, row in enumerate(rows)]
+    for h in range(v):
+        unit = [int(h == g) for g in range(v)]
+        a_rows.append(unit + [0] * m + unit)
+    return solve(a_rows, rhs + [1] * v, cost + [0] * (m + v), stage).objective
+
+
+def _lexmin(group, target, n, solve):
+    """The lexicographically least x in the box with a(x) >= target for
+    every piece a of ``group`` (numerator units).
+
+    A one-piece group at its bound has x_i = 1 where a_i > 0, else 0.
+    Otherwise the coordinates some piece uses are fixed one at a time: at
+    0 when no constraint the rest of the box leaves open needs them
+    positive, in closed form when one such constraint is left, else by an
+    LP minimizing that coordinate.  Unused coordinates are 0.
+    """
+    if len(group) == 1:
+        return tuple(ONE if c > 0 else ZERO for c in group[0][1:])
+    rows = [[row[0] - target, *row[1:]] for row in group]  # each must stay >= 0
+    support = [i for i in range(1, n + 1) if any(row[i] for row in group)]
+    point = [ZERO] * n
+    for s, k in enumerate(support):
+        rest = support[s:]
+        live = [row for row in rows if row[0] + sum(row[i] for i in rest if row[i] < 0) < 0]
+        if not any(row[k] > 0 for row in live):
+            continue
+        if len(live) == 1:
+            row = live[0]
+            x = max(ZERO, Fraction(-row[0] - sum(row[i] for i in rest[1:] if row[i] > 0), row[k]))
+        else:
+            used = [i for i in rest if any(row[i] for row in live)]
+            coeffs = [[row[i] for i in used] for row in live]
+            cost = [1] + [0] * (len(used) - 1)
+            x = _box_lp(coeffs, [-row[0] for row in live], cost, solve, "lexicographic witness")
+        point[k - 1] = x
+        for row in rows:
+            row[0] += row[k] * x
+    return tuple(point)
+
+
+def _term_max(phi, budget, negate):
+    # _box_max of the term function of phi, or of !phi, on [0, 1]^arity
     n = arity(phi)
     if n == 0:
         value = evaluate(phi, ())
-        return value, (), value, ()
-    return extrema(term_pwl(phi, n), budget)
+        return ONE - value if negate else value, lambda: ()
+    return _box_max(term_pwl(nnf(phi)[negate], n), budget)
 
 
 def minimum(phi, budget=None):
-    """Exact minimum of the term function over the box, with a witness point."""
-    return _term_extrema(phi, budget)[:2]
+    """Exact minimum of the term function over the box, with a witness point.
+
+    ``min phi = 1 - max !phi``, with ``!phi`` in negation normal form; the
+    witness is the lexicographically least minimizer.
+    """
+    hi, at = _term_max(phi, budget, True)
+    return ONE - hi, at()
 
 
 def maximum(phi, budget=None):
-    """Exact maximum of the term function over the box, with a witness point."""
-    return _term_extrema(phi, budget)[2:]
+    """Exact maximum of the term function over the box, with the
+    lexicographically least maximizer as witness."""
+    hi, at = _term_max(phi, budget, False)
+    return hi, at()
 
 
 def is_valid(phi, budget=None) -> bool:
     """True when the term function is identically 1."""
-    return minimum(phi, budget)[0] == ONE
+    return _term_max(phi, budget, True)[0] == ZERO
 
 
 def is_invalid(phi, budget=None):
     """(True, witness) when some evaluation sends ``phi`` to 0."""
-    value, witness = minimum(phi, budget)
-    if value == ZERO:
-        return True, witness
+    hi, at = _term_max(phi, budget, True)
+    if hi == ONE:
+        return True, at()
     return False, None
 
 
@@ -184,12 +323,12 @@ def semantic_equiv(phi, psi, budget=None) -> bool:
     Decided by maximizing the pointwise distance |phi - psi|, realized as
     the formula ``(phi (-) psi) (+) (psi (-) phi)``.
     """
-    return maximum(_distance_formula(phi, psi), budget)[0] == ZERO
+    return unit_norm(_distance_formula(phi, psi), budget) == ZERO
 
 
 def unit_norm(phi, budget=None) -> Fraction:
     """Unit seminorm of the term function; the sup-norm over the box."""
-    return maximum(phi, budget)[0]
+    return _term_max(phi, budget, False)[0]
 
 
 def delta_norm(phi, psi, budget=None) -> Fraction:

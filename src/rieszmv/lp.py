@@ -13,7 +13,7 @@ multipliers as a Farkas certificate: y with y*A <= 0 componentwise, y*b > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .kernel import ZERO
@@ -29,6 +29,8 @@ class SimplexResult:
     x: tuple | None = None
     objective: Fraction | None = None
     farkas: tuple | None = None
+    # pivots taken, phase 1 included; not part of equality
+    pivots: int = field(default=0, compare=False)
 
 
 def _pivot(tableau, basis, row, col, d):
@@ -51,11 +53,13 @@ def _pivot(tableau, basis, row, col, d):
 def _run_simplex(tableau, basis, m, n, d):
     # Bland's rule: lowest eligible column enters; ratio ties (cross-multiplied,
     # so D cancels) go to the lowest basic index.  The objective row is last.
+    # Returns (status, D, pivots taken).
+    pivots = 0
     while True:
         obj = tableau[m]
         col = next((j for j in range(n) if obj[j] < 0), None)
         if col is None:
-            return OPTIMAL, d
+            return OPTIMAL, d, pivots
         row = None
         for r in range(m):
             coef = tableau[r][col]
@@ -64,8 +68,9 @@ def _run_simplex(tableau, basis, m, n, d):
                 if key < 0 or (key == 0 and basis[r] < basis[row]):
                     row, rhs, best = r, tableau[r][-1], coef
         if row is None:
-            return UNBOUNDED, d
+            return UNBOUNDED, d, pivots
         d = _pivot(tableau, basis, row, col, d)
+        pivots += 1
 
 
 def solve_lp(a_rows, b, c) -> SimplexResult:
@@ -91,12 +96,12 @@ def solve_lp(a_rows, b, c) -> SimplexResult:
     tableau = [row[:n] + [int(i == k) for k in range(m)] + row[n:] for i, row in enumerate(rows)]
     tableau.append(obj)
     basis = [n + i for i in range(m)]
-    status, d = _run_simplex(tableau, basis, m, n, 1)
+    status, d, pivots = _run_simplex(tableau, basis, m, n, 1)
     assert status == OPTIMAL  # phase 1 is bounded below by zero
     if tableau[m][-1] < 0:
         # Multipliers: the reduced cost of artificial i is 1 - y_i.
         y = (Fraction(s * (d - tableau[m][n + i]), d) for i, s in enumerate(signs))
-        return SimplexResult(INFEASIBLE, farkas=tuple(y))
+        return SimplexResult(INFEASIBLE, farkas=tuple(y), pivots=pivots)
     if any(ci != 0 for ci in c):
         # An artificial still basic after phase 1 sits at level 0; pivot it
         # out on any nonzero original column (a degenerate pivot, so x does
@@ -106,6 +111,7 @@ def solve_lp(a_rows, b, c) -> SimplexResult:
                 col = next((j for j in range(n) if tableau[r][j] != 0), None)
                 if col is not None:
                     d = _pivot(tableau, basis, r, col, d)
+                    pivots += 1
         lc = math.lcm(*[ci.denominator for ci in c])
         cost = [ci.numerator * (lc // ci.denominator) for ci in c]
         obj = [d * cj for cj in cost] + [0] * (m + 1)  # reduced costs times D * lc
@@ -113,9 +119,11 @@ def solve_lp(a_rows, b, c) -> SimplexResult:
             if basis[r] < n and cost[basis[r]] != 0:
                 obj = [v - cost[basis[r]] * p for v, p in zip(obj, tableau[r])]
         tableau[m] = obj
-        status, d = _run_simplex(tableau, basis, m, n, d)
+        status, d, more = _run_simplex(tableau, basis, m, n, d)
+        pivots += more
         if status == UNBOUNDED:
-            return SimplexResult(UNBOUNDED)
+            return SimplexResult(UNBOUNDED, pivots=pivots)
     values = {j: Fraction(row[-1], d) for j, row in zip(basis, tableau) if j < n}
     x = tuple(values.get(j, ZERO) for j in range(n))
-    return SimplexResult(OPTIMAL, x=x, objective=sum((ci * xi for ci, xi in zip(c, x)), ZERO))
+    objective = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
+    return SimplexResult(OPTIMAL, x=x, objective=objective, pivots=pivots)

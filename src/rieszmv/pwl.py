@@ -39,6 +39,16 @@ def _exact(r) -> Fraction:
     return r if isinstance(r, Fraction) else Fraction(r)
 
 
+def _json_number(x):
+    # a JSON number read with parse_float=Fraction is exact as it stands (no
+    # text round trip); a string is rational text; bool and the rest are not
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if type(x) is str:
+        return Fraction(x)
+    raise TypeError(f"{x!r} is not a rational number or string")
+
+
 @dataclass(frozen=True)
 class Affine:
     """c0 + c1*x1 + ... + cn*xn with exact rational coefficients."""
@@ -452,7 +462,7 @@ def maxmin_from_json(data: dict) -> MaxMin:
         if type(n) is not int:  # a JSON integer; bool is an int subclass
             raise ValueError(f"n must be an integer, got {n!r}")
         groups = tuple(
-            tuple(Affine(n, tuple(Fraction(str(c)) for c in piece)) for piece in group)
+            tuple(Affine(n, tuple(map(_json_number, piece))) for piece in group)
             for group in data["groups"]
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

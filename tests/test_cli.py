@@ -245,6 +245,33 @@ def test_json_numbers_are_read_exactly(tmp_path, capsys):
     assert (cert.dutch_book.stakes, cert.dutch_book.margin) == ((F(1, 10**400),), F(1, 10))
 
 
+def test_json_numbers_and_rational_strings_give_the_same_values(tmp_path, capsys):
+    # a number parsed exactly is taken as it is; a string is rational text
+    for number, text in (("0.30000000000000001", '"0.30000000000000001"'), ("1", '"1"'), ("0", '"0/7"')):
+        as_number = coherence.book_from_json(f'{{"events": [{{"formula": "v1", "odd": {number}}}]}}')
+        assert as_number == coherence.book_from_json(f'{{"events": [{{"formula": "v1", "odd": {text}}}]}}')
+    book = coherence.book_from_json({"events": [{"formula": "v1", "odd": F(1, 3)}]})
+    assert book.events[0][1] == F(1, 3)
+    # true is not a number, in any of the three readers
+    for name, content in (
+        ("book", '{"events": [{"formula": "v1", "odd": true}]}'),
+        ("cert", '{"kind": "incoherent", "stakes": [true], "margin": "1/2"}'),
+        ("pwl", '{"n": 1, "groups": [[[true, 0]]]}'),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(content)
+        if name == "book":
+            argv = ("coherent", str(path))
+        elif name == "cert":
+            (tmp_path / "ok.json").write_text(json.dumps(BOOK_COHERENT))
+            argv = ("coherent", str(tmp_path / "ok.json"), "--verify", str(path))
+        else:
+            argv = ("synth", str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN, ""), name
+        assert err.startswith("error: malformed") and "True" in err, (name, err)
+
+
 def test_span(tmp_path, capsys):
     path = tmp_path / "book.json"
     path.write_text(json.dumps({"events": [{"formula": "v1", "odd": "1/2"}]}))

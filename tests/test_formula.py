@@ -29,6 +29,7 @@ from rieszmv import (
     expand,
     format_formula,
     maxmin_eval,
+    nnf,
     parse,
     program,
     scalar_mul,
@@ -250,6 +251,46 @@ def test_rconst_expansion_value():
     assert evaluate(phi, ()) == F(2, 5)
     assert evaluate(expand(phi), (F(0),)) == F(2, 5)
     assert evaluate(expand(phi), (F(1, 3),)) == F(2, 5)
+
+
+def test_negation_normal_form_keeps_values_and_negates_only_variables():
+    rng = random.Random(139)
+    for trial in range(520):
+        n = trial % 4 + 1
+        phi = rand_formula(rng, n, 4, scalars=trial % 3 != 0)
+        pos, neg = nnf(phi)
+        for form in (pos, neg):
+            for kind, _, i, _, _ in program(form):
+                assert kind not in (Implies, Iff, Ominus)
+                if kind is Neg:
+                    assert program(form)[i][0] is Var, phi
+        # term functions on [0, 1]^n: !phi's through the negated form, phi's
+        # through the positive one
+        f_pos, f_neg = term_pwl(pos, n), term_pwl(neg, n)
+        for _ in range(20):
+            x = rand_point(rng, n)
+            assert maxmin_eval(f_neg, x) == evaluate(Neg(phi), x), (phi, x)
+            assert maxmin_eval(f_pos, x) == evaluate(phi, x), (phi, x)
+
+
+def test_negation_normal_form_scalar_dualities():
+    v1 = Var(1)
+    r = F(2, 7)
+    # !N[r]a = D[r]!a and !D[r]a = N[r]!a
+    assert nnf(Nabla(r, v1)) == (Nabla(r, v1), Delta(r, Neg(v1)))
+    assert nnf(Delta(r, v1)) == (Delta(r, v1), Nabla(r, Neg(v1)))
+    # N[r]a = !D[r]!a, read left to right
+    assert nnf(Neg(Delta(r, Neg(v1))))[0] == Nabla(r, v1)
+    # !C[r] = C[1 - r]
+    assert nnf(RConst(r)) == (RConst(r), RConst(F(5, 7)))
+    assert nnf(Neg(RConst(F(1))))[0] == RConst(F(0))
+    # connectives read through their definitions
+    assert nnf(parse("v1 -> v2")) == (parse("!v1 (+) v2"), parse("v1 (.) !v2"))
+    assert nnf(parse("v1 (-) v2")) == (parse("v1 (.) !v2"), parse("!v1 (+) v2"))
+    assert nnf(parse("v1 <-> v2")) == (
+        parse("(!v1 (+) v2) /\\ (!v2 (+) v1)"),
+        parse("v1 (.) !v2 \\/ v2 (.) !v1"),
+    )
 
 
 def test_conservative_over_lukasiewicz_random():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,21 @@ import pytest
 from rieszmv import (
     Affine,
     BudgetExceededError,
+    Delta,
+    Join,
     MaxMin,
+    Meet,
+    Odot,
+    Ominus,
+    Oplus,
+    RConst,
+    arity,
     candidate_vertices,
     components,
     constant,
     delta_norm,
     evaluate,
+    expand,
     extrema,
     is_invalid,
     is_valid,
@@ -28,6 +38,7 @@ from rieszmv import (
     unit_norm,
     vertices_from_components,
 )
+from rieszmv import geometry
 from rieszmv.geometry import _differences, _hyperplanes, _is_facet
 
 from helpers import (
@@ -367,3 +378,103 @@ def test_budget_error_is_loud():
         minimum(phi, budget=3)
     assert err.value.size > 3
     assert err.value.budget == 3
+
+
+# Shapes with plateaus, where the witness is decided by the tie rule; the
+# first is that of test_extrema_breaks_ties_at_the_first_vertex
+_TIE_SHAPES = (
+    lambda a, b, r: Odot(Oplus(a, a), Oplus(a, a)),
+    lambda a, b, r: Meet(a, RConst(r)),
+    lambda a, b, r: Join(a, RConst(r)),
+    lambda a, b, r: Join(Odot(a, b), Odot(b, a)),
+    lambda a, b, r: Delta(r, Oplus(a, b)),
+    lambda a, b, r: Ominus(Oplus(a, b), RConst(r)),
+)
+
+
+def _vertex_extrema(phi):
+    n = arity(phi)
+    if n == 0:
+        value = evaluate(phi, ())
+        return value, (), value, ()
+    return extrema(term_pwl(phi, n))
+
+
+def test_lp_extrema_match_the_vertex_scan():
+    # minimum and maximum (values and witnesses) and the four verdicts, each
+    # against extrema() on the term function
+    rng = random.Random(113)
+    shaped = equivalent = beyond = 0
+    for trial in range(640):
+        n = trial % 4 + 1
+        scalars = trial % 2 == 0
+        phi = rand_formula(rng, n, 3, scalars)
+        if trial % 3 == 0:
+            shape = _TIE_SHAPES[trial // 3 % len(_TIE_SHAPES)]
+            phi = shape(phi, rand_formula(rng, n, 2, scalars), rand_unit(rng, 6))
+            shaped += 1
+        try:
+            lo, lo_at, hi, hi_at = _vertex_extrema(phi)
+        except BudgetExceededError:
+            # beyond the vertex scan: the witnesses still give the values
+            for value, at in (minimum(phi), maximum(phi)):
+                assert evaluate(phi, at) == value
+            beyond += 1
+            continue
+        assert minimum(phi) == (lo, lo_at), phi
+        assert maximum(phi) == (hi, hi_at), phi
+        assert is_valid(phi) == (lo == 1)
+        assert is_invalid(phi) == ((True, lo_at) if lo == 0 else (False, None))
+        assert unit_norm(phi) == hi
+        # the expansion is equivalent by construction (its own term function
+        # may exceed the piece cap); a random formula is equivalent when the
+        # two term functions agree at every vertex of their common arrangement
+        if trial % 2:
+            assert semantic_equiv(phi, expand(phi)), phi
+            continue
+        psi = rand_formula(rng, n, 2, scalars)
+        m = max(1, arity(phi), arity(psi))
+        f, g = term_pwl(phi, m), term_pwl(psi, m)
+        vertices = vertices_from_components(m, components(f) + components(g))
+        same = all(maxmin_eval(f, v) == maxmin_eval(g, v) for v in vertices)
+        assert semantic_equiv(phi, psi) == same, (phi, psi)
+        equivalent += same
+    assert shaped > 200 and equivalent > 10 and beyond < 20
+
+
+def test_formula_budget_counts_simplex_pivots(monkeypatch):
+    phi = parse("(v1 (+) v2 (+) v3) <-> (v1 (.) v2 (.) v3)")
+    spent = []
+
+    def counted(*args):
+        result = solve_lp(*args)
+        spent.append(sum(spent[-1:]) + result.pivots)
+        return result
+
+    solve_lp = geometry.solve_lp
+    monkeypatch.setattr(geometry, "solve_lp", counted)
+    expected = minimum(phi)
+    monkeypatch.undo()
+    assert len(spent) >= 2
+    # checked after every LP: the first total above the budget is the size.
+    # The negation's term function is one group of three pieces, so the
+    # first LP is its maximum and the others fix the witness.
+    for k, total in enumerate(spent):
+        with pytest.raises(BudgetExceededError) as err:
+            minimum(phi, budget=total - 1)
+        assert (err.value.size, err.value.budget) == (total, total - 1)
+        stage = "group maxima" if k == 0 else "lexicographic witness"
+        assert str(err.value).startswith(f"simplex pivots of the {stage} in dimension 3: ")
+    assert minimum(phi, budget=spent[-1]) == expected
+    # the value alone needs no witness LPs
+    assert is_valid(phi, budget=spent[0]) is False
+
+
+def test_transitivity_instance_is_quick():
+    # the vertex scan took 7.7 s on a 2-core x86 box (145 s with Fraction
+    # solves); the term function of the negation's normal form prunes to 0
+    phi = parse("((!v2 <-> !v1) -> (v3 \\/ !v2)) -> (((v3 \\/ !v2) -> v2) -> ((!v2 <-> !v1) -> v2))")
+    started = time.perf_counter()
+    assert is_valid(phi)
+    assert minimum(phi) == (1, (0, 0, 0))
+    assert time.perf_counter() - started < 2
