@@ -64,7 +64,6 @@ from .pwl import (
     trunc,
 )
 from .geometry import (
-    candidate_vertices,
     delta_norm,
     extrema,
     is_invalid,

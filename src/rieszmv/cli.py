@@ -147,13 +147,14 @@ def cmd_span(args):
     combo = coherence.span_combination(book, stakes)
     phi = synthesis.synth_pwl(combo, args.budget)
     # the synthesized formula agrees with the combination pointwise, so both
-    # have the same minimum, at the same first vertex
-    lo, witness, _, _ = geometry.extrema(combo, args.budget)
+    # have the same minimum, at the same least point
+    lo, lo_at = geometry._box_min(combo, args.budget)
     verdict = lo == 0
     text = format_formula(phi)
     data = {"formula": text, "invalid": verdict}
     lines = [text, "invalid" if verdict else "not invalid"]
     if verdict:
+        witness = lo_at()
         data["witness"] = [str(c) for c in witness]
         lines.append(_fmt_point(witness))
     _emit(args, data, lines)
@@ -168,8 +169,9 @@ def build_parser():
         "--budget",
         type=int,
         default=None,
-        help="cap on simplex pivots (min, max, valid, invalid, norm, equiv) or on "
-        "vertex-enumeration subsets (synth, coherent, span); also via RIESZ_BUDGET",
+        help="cap on the simplex pivots of one extremum (min, max, valid, invalid, norm, equiv, "
+        "synth, span) or on vertex-enumeration subsets (coherent, and a synth or span minimum "
+        "whose reflection outgrows the piece cap); also via RIESZ_BUDGET",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -225,6 +227,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "span" and not args.stakes:
             parser.error("the following arguments are required: stakes")
+        if args.budget is not None and args.budget < 0:
+            parser.error(f"argument --budget: must be a nonnegative integer, got {args.budget}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

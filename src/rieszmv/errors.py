@@ -1,4 +1,15 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and how their numbers print."""
+
+
+def bounded(x):
+    """An int or Fraction as text; past 100 bits in either part, a power-of-two
+    bound (2**20000 has 6,021 digits, and printing is quadratic in them)."""
+    p, q = x.numerator, x.denominator
+    if max(p.bit_length(), q.bit_length()) <= 100:
+        return str(x)
+    e = p.bit_length() - q.bit_length()
+    e -= abs(p) << max(-e, 0) < q << max(e, 0)  # now 2**e <= |x| < 2**(e + 1)
+    return f"at least 2^{e}" if p > 0 else f"at most -2^{e}"
 
 
 class BudgetExceededError(RuntimeError):
@@ -9,10 +20,7 @@ class BudgetExceededError(RuntimeError):
     """
 
     def __init__(self, message, size, budget):
-        # a size past about 30 digits prints as a power-of-two bound, never as
-        # its digits: 2**20000 alone has 6,021
-        shown = f"at least 2^{size.bit_length() - 1}" if isinstance(size, int) and size.bit_length() > 100 else size
-        super().__init__(f"{message}: required {shown}, budget {budget}")
+        super().__init__(f"{message}: required {bounded(size)}, budget {budget}")
         self.size = size
         self.budget = budget
 

@@ -41,6 +41,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import bounded
 # The k_* names are not called here: perfbench/tracing.py patches them by name.
 from .kernel import UnitRational, implies as k_implies, join as k_join, meet as k_meet, neg as k_neg, odot as k_odot, oplus as k_oplus  # noqa: F401
 
@@ -289,7 +290,7 @@ def evaluate(phi: Formula, point) -> Fraction:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"coordinate {c!r} is not exact; pass Fraction or int coordinates")
         if c < 0 or c > 1:
-            raise ValueError(f"evaluation coordinate {c} outside [0, 1]")
+            raise ValueError(f"evaluation coordinate {bounded(c)} outside [0, 1]")
     prog = program(phi)
     npoint = len(point)
     d = math.lcm(*[c.denominator for c in point]) * prog[-1][4]

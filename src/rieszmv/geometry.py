@@ -1,23 +1,23 @@
-"""Exact extrema over [0, 1]^n: group LPs for formulas, vertices for Max-Min data.
+"""Exact extrema over [0, 1]^n, by one small LP per group.
 
-A formula's maximum is the largest, over the groups of its term function,
-of max_x min_{a in G} a(x): one small LP per group (:func:`lp.solve_lp`,
-integer rows), skipped for one-piece groups and for groups whose bound
-cannot beat the best value so far.  Its minimum is 1 - max of ``!phi`` in
-negation normal form (:func:`formula.nnf`), whose term function reflects
-only projections.  The witness is the lexicographically least extremal
-point, found by successive LPs; it is an arrangement vertex, so it is the
-point the vertex scan below reports first.  Validity, invalidity, semantic
-equivalence and the unit seminorm read these values.  ``--budget`` caps
-the simplex pivots of one such call.
+The maximum of a Max-Min function is the largest, over its groups, of
+max_x min_{a in G} a(x): one LP per group (:func:`lp.solve_lp`, integer
+rows), skipped for one-piece groups and for groups whose bound cannot beat
+the best value so far.  The minimum of f is -max(-f) (:func:`pwl.mm_negate`);
+that of a formula is 1 - max ``!phi`` in negation normal form, whose term
+function reflects only projections.  The witness is the lexicographically
+least extremal point, from successive LPs: an arrangement vertex, so the
+first sorted vertex a scan would report.  ``--budget`` caps the simplex
+pivots of one maximum and its witness.
 
-A bare Max-Min function has no formula to negate, so :func:`extrema` keeps
-the vertex scan: the function is affine on every cell of the arrangement cut
-out by the pairwise differences of its pieces together with the box facets,
-so its extrema are attained at cell vertices, intersections of n independent
-hyperplanes from that family.  :func:`vertices_from_components` finds them
-in integer arithmetic, walking the n-subsets of the hyperplanes (budgeted by
-their number, C(H, n)) with a null-space basis of each prefix.
+Every vertex of the arrangement of the pairwise piece differences and the
+box facets is needed by the event image of coherence, and by the minimum of
+a bare Max-Min function whose reflection -f outgrows the piece cap (it is
+exponential in the groups); the scan then reports the least value at the
+first vertex, and the budget counts hyperplane n-subsets.
+:func:`vertices_from_components` finds the vertices in integer arithmetic,
+walking the n-subsets of the hyperplanes (budgeted by their number,
+C(H, n)) with a null-space basis of each prefix.
 """
 
 from __future__ import annotations
@@ -32,20 +32,26 @@ from .errors import BudgetExceededError
 from .formula import Ominus, Oplus, arity, evaluate, nnf
 from .kernel import ONE, ZERO
 from .lp import solve_lp
-from .pwl import MaxMin, components, maxmin_eval, term_pwl
+from .pwl import MaxMin, components, maxmin_eval, mm_negate, term_pwl
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
 
 
 def effective_budget(budget=None):
-    """Resolve the budget (vertex subsets, or simplex pivots for formula
-    extrema): explicit value, RIESZ_BUDGET, or default."""
+    """Resolve the budget (simplex pivots, or the vertex subsets of a scan):
+    explicit value, RIESZ_BUDGET, or default."""
     if budget is not None:
         return budget
     env = os.environ.get("RIESZ_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_VERTEX_BUDGET
+    if not env:
+        return DEFAULT_VERTEX_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"RIESZ_BUDGET must be a nonnegative integer, got {env!r}")
+    return budget
 
 
 def _differences(affines):
@@ -138,20 +144,45 @@ def vertices_from_components(n, affines, budget=None):
     return tuple(sorted(tuple(Fraction(c, p[0]) for c in p[1:]) for p in points))
 
 
-def candidate_vertices(f: MaxMin, budget=None):
-    """Vertex candidates for the extrema of ``f`` over the box."""
-    return vertices_from_components(f.n, components(f), budget)
-
-
 def extrema(f: MaxMin, budget=None):
-    """``(lo, lo_at, hi, hi_at)``: exact minimum and maximum of ``f`` over the box.
+    """``(lo, lo_at, hi, hi_at)``: exact minimum and maximum of ``f`` over the
+    box, each with its lexicographically least point."""
+    lo, lo_at, hi, hi_at = _extrema(f, budget)
+    return lo, lo_at(), hi, hi_at()
 
-    Ties go to the first candidate vertex in sorted order.
+
+def _extrema(f: MaxMin, budget):
+    # extrema() with functions for witnesses, each half on its own budget
+    lo, lo_at = _box_min(f, budget)
+    hi, hi_at = _box_max(f, budget)
+    return lo, lo_at, hi, hi_at
+
+
+def _at_zero(f: MaxMin):
+    # f(0) in numerator units
+    return max(min(row[0] for row in g) for g in f.rows)
+
+
+def _box_min(f: MaxMin, budget):
+    """``(lo, at)``: the minimum of ``f`` over the box, and a function giving
+    the lexicographically least point where it is attained.
+
+    f >= max_G min_{a in G} min_box a, so f(0) at that bound is the minimum,
+    at 0.  Otherwise it is -max(-f), unless the reflection outgrows the piece
+    cap: then the least value at the arrangement vertices, the first of
+    equal ones.
     """
-    scan = [(maxmin_eval(f, v), v) for v in candidate_vertices(f, budget)]
-    by_value = operator.itemgetter(0)
-    # min and max return the first of equal items
-    return min(scan, key=by_value) + max(scan, key=by_value)
+    zero = _at_zero(f)
+    if zero == max(min(row[0] + sum(c for c in row[1:] if c < 0) for row in g) for g in f.rows):
+        return Fraction(zero, f.den), lambda: (ZERO,) * f.n  # 0 is the least point of the box
+    try:
+        negated = mm_negate(f)
+    except BudgetExceededError:
+        scan = [(maxmin_eval(f, v), v) for v in vertices_from_components(f.n, components(f), budget)]
+        lo, point = min(scan, key=operator.itemgetter(0))  # min returns the first of equal items
+        return lo, lambda: point
+    neg, at = _box_max(negated, budget)
+    return -neg, at
 
 
 def _upper(row):
@@ -165,10 +196,10 @@ def _box_max(f: MaxMin, budget):
 
     Groups are visited by descending bound (the least of their pieces'
     maxima) while a bound exceeds the best value so far; a one-piece group's
-    value is its bound, any other group's is one LP.  ``at()`` also checks
-    the groups whose bound equals the maximum, then takes the least of the
-    attaining groups' lexicographic minima.  Every LP counts its simplex
-    pivots against one budget.
+    value is its bound, any other group's is one LP.  ``at()`` is 0 when f(0)
+    attains the maximum; else it also checks the groups whose bound equals
+    it and takes the least of the attaining groups' lexicographic minima.
+    Every LP counts its simplex pivots against one budget.
     """
     n = f.n
     budget = effective_budget(budget)
@@ -197,6 +228,8 @@ def _box_max(f: MaxMin, budget):
         k += 1
 
     def at():
+        if _at_zero(f) == best:
+            return (ZERO,) * n
         tied = itertools.takewhile(lambda item: item[0] == best, order[k:])
         groups = attaining + [group for bound, group in tied if value(bound, group) == best]
         return min(_lexmin(group, best, n, solve) for group in groups)

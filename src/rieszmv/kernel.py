@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import bounded
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -27,7 +29,7 @@ class UnitRational(Fraction):
             raise TypeError("floats are not exact; pass a Fraction, int or string")
         value = super().__new__(cls, numerator, denominator)
         if value < ZERO or value > ONE:
-            raise ValueError(f"{value} is outside [0, 1]")
+            raise ValueError(f"{bounded(value)} is outside [0, 1]")
         return value
 
 

@@ -26,7 +26,7 @@ import math
 
 from .errors import RangeViolationError
 from .formula import Delta, Formula, Join, Meet, Ominus, Oplus, RConst, Var
-from .geometry import extrema
+from .geometry import _extrema
 # unused here, but perfbench/tracing.py wraps maxmin_eval at this attribute
 from .pwl import Affine, MaxMin, _check_cap, maxmin_eval  # noqa: F401
 
@@ -73,13 +73,15 @@ def synth_pwl(f: MaxMin, budget=None) -> Formula:
 
     Requires the range of ``f`` to stay inside [0, 1] (then f is fixed by
     the unit truncation and the per-piece syntheses can be joined back
-    exactly); raises :class:`RangeViolationError` with a witness otherwise.
+    exactly).  Otherwise raises :class:`RangeViolationError` at the witness
+    of the minimum (below 0) or else of the maximum (above 1), as
+    :func:`rieszmv.geometry.extrema` gives them; ``budget`` caps its pivots.
     """
-    lo, lo_at, hi, hi_at = extrema(f, budget)
+    lo, lo_at, hi, hi_at = _extrema(f, budget)
     if lo < 0:
-        raise RangeViolationError("function drops below 0", lo_at, lo)
+        raise RangeViolationError("function drops below 0", lo_at(), lo)
     if hi > 1:
-        raise RangeViolationError("function exceeds 1", hi_at, hi)
+        raise RangeViolationError("function exceeds 1", hi_at(), hi)
 
     result = None
     for group in f.groups:

@@ -3,11 +3,13 @@
 The reference Lukasiewicz machinery, vertex enumeration, simplex and Max-Min
 pipeline at the bottom deliberately avoid the package's evaluator, vertex
 walk, integer tableau and integer Max-Min rows so that cross-checks against
-them exercise an independent route.
+them exercise an independent route.  The vertex scan of a Max-Min function
+(``vertex_extrema``) is the oracle of the package's group-LP extrema.
 """
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from rieszmv import (
@@ -27,7 +29,10 @@ from rieszmv import (
     RConst,
     Var,
     arity,
+    components,
+    maxmin_eval,
     program,
+    vertices_from_components,
 )
 from rieszmv.geometry import effective_budget
 from rieszmv.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
@@ -191,6 +196,28 @@ def luk_is_valid(phi, budget=None):
     assert all(c.denominator == 1 for piece in pieces for c in piece)
     affines = [Affine(n, piece) for piece in pieces]
     return all(luk_eval(phi, v) == 1 for v in brute_vertices(n, affines, budget))
+
+
+# ---------------------------------------------------------------------------
+# Extrema of a Max-Min function by scanning its arrangement vertices: the
+# function is affine on every cell cut out by the pairwise differences of its
+# pieces and the box facets, so its extrema sit at cell vertices.
+
+
+def candidate_vertices(f, budget=None):
+    """Vertex candidates for the extrema of ``f`` over the box."""
+    return vertices_from_components(f.n, components(f), budget)
+
+
+def vertex_extrema(f, budget=None):
+    """Reference for ``extrema``: ``(lo, lo_at, hi, hi_at)`` over the
+    candidate vertices, ties to the first vertex in sorted order (in
+    dimension 0 the box is the one point ``()``)."""
+    vertices = candidate_vertices(f, budget) if f.n else [()]
+    scan = [(maxmin_eval(f, v), v) for v in vertices]
+    by_value = operator.itemgetter(0)
+    # min and max return the first of equal items
+    return min(scan, key=by_value) + max(scan, key=by_value)
 
 
 # ---------------------------------------------------------------------------

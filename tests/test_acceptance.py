@@ -14,7 +14,6 @@ from rieszmv import (
     BudgetExceededError,
     Coherent,
     Incoherent,
-    candidate_vertices,
     check_coherent,
     constant,
     evaluate,
@@ -42,6 +41,7 @@ from rieszmv import (
 )
 
 from helpers import (
+    candidate_vertices,
     clamp,
     grid_points,
     luk_is_valid,

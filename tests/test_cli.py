@@ -7,8 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import rieszmv
-from rieszmv import candidate_vertices, cli, coherence, evaluate, parse
+from rieszmv import cli, coherence, evaluate, maxmin_eval, parse
 from rieszmv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
+from rieszmv.pwl import maxmin_to_json, term_pwl
+
+from helpers import candidate_vertices
 
 F = Fraction
 
@@ -151,18 +154,43 @@ def test_synth_prints_pieces_constant_on_the_box_as_constants(tmp_path, capsys):
         assert run(capsys, "synth", str(path)) == (EXIT_OK, expected + "\n", ""), groups
 
 
-def test_high_dimensional_synth_counts_its_hyperplanes_before_building_them(tmp_path, capsys):
-    # the constant 1/2 in dimension 30,000: its facet rows would hold 1.8e9 entries
-    path = tmp_path / "half.json"
-    path.write_text(json.dumps({"n": 30000, "groups": [[["1/2"] + ["0"] * 30000]]}))
+def test_high_dimensional_coherence_counts_its_hyperplanes_and_synth_needs_none(tmp_path, capsys):
+    # the event v30000: the 60,000 facet rows of its arrangement would hold 1.8e9 entries
+    book = tmp_path / "book.json"
+    book.write_text(json.dumps({"events": [{"formula": "v30000", "odd": "1/2"}]}))
     started = time.perf_counter()
-    code, out, err = run(capsys, "synth", str(path))
+    code, out, err = run(capsys, "coherent", str(book))
     assert (code, out) == (EXIT_BUDGET, "")
     assert err == (
         "budget exceeded: vertex enumeration over 60000 hyperplanes in dimension 30000: "
         "required at least 2^59991, budget 2000000\n"
     )
     assert time.perf_counter() - started < 10
+    # the constant 1/2 in the same dimension: one piece, so its extrema need no LP
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"n": 30000, "groups": [[["1/2"] + ["0"] * 30000]]}))
+    started = time.perf_counter()
+    assert run(capsys, "synth", str(path)) == (EXIT_OK, "C[1/2]\n", "")
+    assert time.perf_counter() - started < 10
+
+
+def test_synth_past_the_piece_cap_of_the_reflection_scans_the_vertices(tmp_path, capsys):
+    # the minimum of a bare Max-Min function is -max(-f); the reflection of
+    # this term function (n = 1, 13 groups of up to 10 pieces) outgrows the
+    # piece cap, so its minimum comes from the arrangement vertices instead
+    a = "(C[2/5] \\/ !v1) (.) (!v1 (+) !v1)"
+    f = term_pwl(parse(f"({a} (+) {a}) (.) ({a} (+) {a})"), 1)
+    path = tmp_path / "mirrored.json"
+    path.write_text(json.dumps(maxmin_to_json(f)))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "synth", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert time.perf_counter() - started < 10
+    # the formula agrees with f at its breakpoints and between them
+    psi = parse(out)
+    xs = [x for (x,) in candidate_vertices(f)]
+    points = xs + [(x + y) / 2 for x, y in zip(xs, xs[1:])]
+    assert all(evaluate(psi, (x,)) == maxmin_eval(f, (x,)) for x in points)
 
 
 def test_exact_values_and_sizes_past_4300_digits(capsys):
@@ -312,6 +340,44 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.delenv("RIESZ_BUDGET")
     code, out, _ = run(capsys, "min", "(v1 (+) v2 (+) v3) <-> (v1 (.) v2 (.) v3)")
     assert code == EXIT_OK
+
+
+def test_budget_must_be_a_nonnegative_integer(capsys, monkeypatch):
+    for value, message in (("-1", "must be a nonnegative integer, got -1"), ("abc", "invalid int value: 'abc'")):
+        code, out, err = run(capsys, "--budget", value, "min", "v1")
+        assert (code, out) == (EXIT_USAGE, ""), value
+        assert err.endswith(f"rieszmv: error: argument --budget: {message}\n"), err
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("RIESZ_BUDGET", value)
+        code, out, err = run(capsys, "min", "v1")
+        assert (code, out) == (EXIT_DOMAIN, ""), value
+        assert err == f"error: RIESZ_BUDGET must be a nonnegative integer, got '{value}'\n"
+    monkeypatch.setenv("RIESZ_BUDGET", "0")
+    assert run(capsys, "min", "v1") == (EXIT_OK, "0\n0\n", "")
+
+
+def test_huge_values_out_of_range_print_as_bounds(tmp_path, capsys):
+    # printing 10^1000000 in full took 16 s; a bound is one short line
+    books = []
+    for odd in ("1e1000000", '"1e1000000"'):
+        books.append(tmp_path / f"book{len(books)}.json")
+        books[-1].write_text('{"events": [{"formula": "v1", "odd": %s}]}' % odd)
+    cases = (
+        (("eval", "v1", "--at", "1e1000000"), "error: evaluation coordinate at least 2^3321928 outside [0, 1]\n"),
+        (("coherent", str(books[0])), "error: at least 2^3321928 is outside [0, 1]\n"),
+        (("coherent", str(books[1])), "error: at least 2^3321928 is outside [0, 1]\n"),
+        (("eval", "v1", "--at=-1e-400"), "error: evaluation coordinate at most -2^-1329 outside [0, 1]\n"),
+    )
+    for argv, message in cases:
+        started = time.perf_counter()
+        assert run(capsys, *argv) == (EXIT_DOMAIN, "", message), argv
+        assert time.perf_counter() - started < 2 and len(message) < 200, argv
+    # values up to 100 bits, and values in range, print in full
+    big = 2**100 - 1
+    assert run(capsys, "eval", "v1", "--at", str(big)) == (
+        EXIT_DOMAIN, "", f"error: evaluation coordinate {big} outside [0, 1]\n"
+    )
+    assert run(capsys, "eval", "v1", "--at", "1e-400") == (EXIT_OK, f"1/{10**400}\n", "")
 
 
 def test_out_of_memory_is_a_budget_error(capsys, monkeypatch):

@@ -16,8 +16,8 @@ from rieszmv import (
     Ominus,
     Oplus,
     RConst,
+    RangeViolationError,
     arity,
-    candidate_vertices,
     components,
     constant,
     delta_norm,
@@ -29,10 +29,14 @@ from rieszmv import (
     maximum,
     maxmin_eval,
     minimum,
+    mm_add,
+    mm_join,
+    mm_negate,
     mm_scale,
     parse,
     projection,
     semantic_equiv,
+    synth_pwl,
     term_pwl,
     trunc,
     unit_norm,
@@ -43,11 +47,15 @@ from rieszmv.geometry import _differences, _hyperplanes, _is_facet
 
 from helpers import (
     brute_vertices,
+    candidate_vertices,
     grid_points,
     rand_affine,
     rand_formula,
+    rand_maxmin,
     rand_point,
+    rand_signed,
     rand_unit,
+    vertex_extrema,
 )
 
 F = Fraction
@@ -397,7 +405,7 @@ def _vertex_extrema(phi):
     if n == 0:
         value = evaluate(phi, ())
         return value, (), value, ()
-    return extrema(term_pwl(phi, n))
+    return vertex_extrema(term_pwl(phi, n))
 
 
 def test_lp_extrema_match_the_vertex_scan():
@@ -478,3 +486,102 @@ def test_transitivity_instance_is_quick():
     assert is_valid(phi)
     assert minimum(phi) == (1, (0, 0, 0))
     assert time.perf_counter() - started < 2
+
+
+def _tents(rng, n, count):
+    """The max of ``count`` pyramids h - s * max_i |x_i - c_i|, one group of 2n
+    pieces each, centred in distinct cells of a k^n grid; each is the max at
+    its own centre, so no group is redundant."""
+    k = {1: 64, 2: 3, 3: 2}[n]
+    cells = rng.sample(sorted(grid_points(n, k - 1)), count)
+    groups = []
+    for cell in cells:
+        h = F(rng.randint(2, 12), 8)  # 1/4 to 3/2: some pyramids leave [0, 1]
+        centre = [(k - 1) * c / k + F(1, 2 * k) for c in cell]
+        pieces = []
+        for i, c in enumerate(centre, 1):
+            for sign in (1, -1):
+                linear = [F(0)] * n
+                linear[i - 1] = F(-2 * k * sign)
+                pieces.append(Affine(n, (h + 2 * k * sign * c, *linear)))
+        groups.append(pieces)
+    return MaxMin(n, groups)
+
+
+def test_maxmin_extrema_and_the_synthesis_range_check_match_the_vertex_scan():
+    # truncations as in criterion 5, tents of up to 64 groups, the plateau
+    # shapes of _TIE_SHAPES, and functions that leave [0, 1]
+    rng = random.Random(127)
+    kinds = {"truncated": 0, "raw": 0, "tent": 0, "shape": 0}
+    below = above = 0
+    for trial in range(560):
+        kind = tuple(kinds)[trial % 4]
+        n = trial // 4 % 4 if kind in ("truncated", "raw") else trial // 4 % 3 + 1
+        if kind == "truncated":
+            f = trunc(rand_maxmin(rng, n, max_groups=3, max_group_size=3, bound=3, max_den=8))
+        elif kind == "raw":
+            f = rand_maxmin(rng, n, max_groups=4, max_group_size=3, bound=2, max_den=8)
+        elif kind == "tent":
+            count = 64 if trial % 96 == 2 else rng.randint(1, {1: 40, 2: 6, 3: 2}[n])
+            f = _tents(rng, n, count)
+            if trial % 3 == 0:
+                f = mm_join(f, constant(n, 0))  # only the top can leave [0, 1]
+        else:
+            shape = _TIE_SHAPES[trial // 4 % len(_TIE_SHAPES)]
+            phi = shape(rand_formula(rng, n, 2), rand_formula(rng, n, 2), rand_unit(rng, 6))
+            # plateaus at the extremes, sometimes shifted out of [0, 1]
+            f = mm_add(term_pwl(phi, n), constant(n, rng.choice((0, 0, F(1, 2), F(-1, 2)))))
+        kinds[kind] += 1
+        lo, lo_at, hi, hi_at = expected = vertex_extrema(f)
+        assert extrema(f) == expected, (kind, f)
+        if lo < 0 or hi > 1:
+            with pytest.raises(RangeViolationError) as err:
+                synth_pwl(f)
+            value, point = (lo, lo_at) if lo < 0 else (hi, hi_at)
+            assert (err.value.value, err.value.point) == (value, point), (kind, f)
+            below += lo < 0
+            above += lo >= 0
+    assert min(kinds.values()) == 140 and below > 100 and above > 30, (kinds, below, above)
+
+
+def test_synthesis_budget_counts_the_pivots_of_each_extremum(monkeypatch):
+    # max(x1 - 1/2, x2 - 1/2, 1/4 - x1 - x2): one-piece groups, so the
+    # maximum is closed form; the minimum is one LP on the single group of
+    # the reflection, and its witness (it drops below 0) takes more
+    pieces = ((F(-1, 2), 1, 0), (F(-1, 2), 0, 1), (F(1, 4), -1, -1))
+    f = MaxMin(2, [[Affine(2, piece)] for piece in pieces])
+    spent = []
+
+    def counted(*args):
+        result = solve_lp(*args)
+        spent.append(sum(spent[-1:]) + result.pivots)
+        return result
+
+    solve_lp = geometry.solve_lp
+    monkeypatch.setattr(geometry, "solve_lp", counted)
+    with pytest.raises(RangeViolationError) as expected:
+        synth_pwl(f)
+    monkeypatch.undo()
+    assert str(expected.value) == "function drops below 0 at 1/4,1/4: value -1/4"
+    assert len(spent) >= 2
+    for k, total in enumerate(spent):
+        with pytest.raises(BudgetExceededError) as err:
+            synth_pwl(f, budget=total - 1)
+        assert (err.value.size, err.value.budget) == (total, total - 1)
+        stage = "group maxima" if k == 0 else "lexicographic witness"
+        assert str(err.value).startswith(f"simplex pivots of the {stage} in dimension 2: ")
+    with pytest.raises(RangeViolationError) as err:
+        synth_pwl(f, budget=spent[-1])
+    assert str(err.value) == str(expected.value)
+
+
+def test_minimum_past_the_piece_cap_of_the_reflection_comes_from_the_vertex_scan():
+    # n = 1, 13 groups of up to 10 pieces: -f outgrows the piece cap, so the
+    # minimum is the scan's, and the budget counts its hyperplane subsets
+    a = "(C[2/5] \\/ !v1) (.) (!v1 (+) !v1)"
+    f = term_pwl(parse(f"({a} (+) {a}) (.) ({a} (+) {a})"), 1)
+    with pytest.raises(BudgetExceededError, match="^reflection would exceed the piece cap"):
+        mm_negate(f)
+    assert extrema(f) == vertex_extrema(f)
+    with pytest.raises(BudgetExceededError, match="^vertex enumeration over"):
+        extrema(f, budget=1)

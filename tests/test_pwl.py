@@ -44,9 +44,9 @@ from rieszmv import (
     trunc,
 )
 from rieszmv import pwl
-from rieszmv.geometry import candidate_vertices
 
 from helpers import (
+    candidate_vertices,
     clamp,
     fraction_groups,
     fraction_linear_combination,

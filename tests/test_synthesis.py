@@ -8,7 +8,6 @@ from rieszmv import (
     Affine,
     MaxMin,
     RangeViolationError,
-    candidate_vertices,
     constant,
     evaluate,
     format_formula,
@@ -23,7 +22,7 @@ from rieszmv import (
     trunc,
 )
 
-from helpers import clamp, grid_points, rand_affine, rand_formula, rand_maxmin, rand_point
+from helpers import candidate_vertices, clamp, grid_points, rand_affine, rand_formula, rand_maxmin, rand_point
 
 F = Fraction
 
