@@ -227,8 +227,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "span" and not args.stakes:
             parser.error("the following arguments are required: stakes")
-        if args.budget is not None and args.budget < 0:
-            parser.error(f"argument --budget: must be a nonnegative integer, got {args.budget}")
+        for name in ("budget", "arity"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                parser.error(f"argument --{name}: must be a nonnegative integer, got {value}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

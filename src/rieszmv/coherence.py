@@ -24,7 +24,7 @@ from .formula import Formula, Ominus, Oplus, Nabla, RConst, arity, evaluate, for
 from .geometry import vertices_from_components
 from .kernel import ONE, UnitRational, ZERO
 from .lp import INFEASIBLE, solve_lp
-from .pwl import MaxMin, _exact, _json_number, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
+from .pwl import MaxMin, _exact, _json_array, _json_number, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
 from .synthesis import synth_pwl
 
 
@@ -238,7 +238,7 @@ def book_from_json(data) -> Book:
     try:
         events = tuple(
             (parse(entry["formula"]), _json_number(entry["odd"]))
-            for entry in data["events"]
+            for entry in _json_array(data["events"])
         )
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed book JSON: {exc}") from exc
@@ -277,14 +277,14 @@ def certificate_from_json(data):
     try:
         if data["kind"] == "coherent":
             support = tuple(
-                (tuple(map(_json_number, entry["point"])), _json_number(entry["weight"]))
-                for entry in data["support"]
+                (tuple(map(_json_number, _json_array(entry["point"]))), _json_number(entry["weight"]))
+                for entry in _json_array(data["support"])
             )
             return Coherent(StateWitness(support))
         if data["kind"] == "incoherent":
             return Incoherent(
                 DutchBook(
-                    tuple(map(_json_number, data["stakes"])), _json_number(data["margin"])
+                    tuple(map(_json_number, _json_array(data["stakes"]))), _json_number(data["margin"])
                 )
             )
     except (KeyError, TypeError, ZeroDivisionError) as exc:

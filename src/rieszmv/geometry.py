@@ -1,14 +1,16 @@
 """Exact extrema over [0, 1]^n, by one small LP per group.
 
-The maximum of a Max-Min function is the largest, over its groups, of
-max_x min_{a in G} a(x): one LP per group (:func:`lp.solve_lp`, integer
-rows), skipped for one-piece groups and for groups whose bound cannot beat
-the best value so far.  The minimum of f is -max(-f) (:func:`pwl.mm_negate`);
-that of a formula is 1 - max ``!phi`` in negation normal form, whose term
-function reflects only projections.  The witness is the lexicographically
-least extremal point, from successive LPs: an arrangement vertex, so the
-first sorted vertex a scan would report.  ``--budget`` caps the simplex
-pivots of one maximum and its witness.
+The maximum of a Max-Min function is the largest, over its groups, of max_x
+min_{a in G} a(x): one LP per group (:func:`lp.solve_lp`, integer rows),
+skipped for one-piece groups and for groups whose bound cannot beat the best
+value so far.  The rows bound f by L <= f <= U, the largest over the groups
+of the least piece minimum (maximum) on the box: synthesis solves only for a
+side of [0, 1] they leave open, and f(0) = L is the minimum, else -max(-f)
+(:func:`pwl.mm_negate`).  That of a formula is 1 - max ``!phi`` in negation
+normal form, whose term function reflects only projections.  The witness is
+the lexicographically least extremal point, from successive LPs: an
+arrangement vertex, so the first sorted vertex a scan would report.
+``--budget`` caps the simplex pivots of one maximum and its witness.
 
 Every vertex of the arrangement of the pairwise piece differences and the
 box facets is needed by the event image of coherence, and by the minimum of
@@ -28,7 +30,7 @@ import operator
 import os
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, RangeViolationError
 from .formula import Ominus, Oplus, arity, evaluate, nnf
 from .kernel import ONE, ZERO
 from .lp import solve_lp
@@ -146,16 +148,10 @@ def vertices_from_components(n, affines, budget=None):
 
 def extrema(f: MaxMin, budget=None):
     """``(lo, lo_at, hi, hi_at)``: exact minimum and maximum of ``f`` over the
-    box, each with its lexicographically least point."""
-    lo, lo_at, hi, hi_at = _extrema(f, budget)
-    return lo, lo_at(), hi, hi_at()
-
-
-def _extrema(f: MaxMin, budget):
-    # extrema() with functions for witnesses, each half on its own budget
+    box, each with its lexicographically least point and its own budget."""
     lo, lo_at = _box_min(f, budget)
     hi, hi_at = _box_max(f, budget)
-    return lo, lo_at, hi, hi_at
+    return lo, lo_at(), hi, hi_at()
 
 
 def _at_zero(f: MaxMin):
@@ -163,17 +159,34 @@ def _at_zero(f: MaxMin):
     return max(min(row[0] for row in g) for g in f.rows)
 
 
+def _row_bounds(f: MaxMin):
+    # the bounds L <= f <= U of the module docstring, in numerator units
+    lower = max(min(row[0] + sum(c for c in row[1:] if c < 0) for row in g) for g in f.rows)
+    return lower, max(min(map(_upper, g)) for g in f.rows)
+
+
+def _check_unit_range(f: MaxMin, budget):
+    # synth_pwl's range check: an extremum only on a side the row bounds leave open
+    lower, upper = _row_bounds(f)
+    if lower < 0:
+        lo, at = _box_min(f, budget)
+        if lo < 0:
+            raise RangeViolationError("function drops below 0", at(), lo)
+    if upper > f.den:
+        hi, at = _box_max(f, budget)
+        if hi > 1:
+            raise RangeViolationError("function exceeds 1", at(), hi)
+
+
 def _box_min(f: MaxMin, budget):
     """``(lo, at)``: the minimum of ``f`` over the box, and a function giving
     the lexicographically least point where it is attained.
 
-    f >= max_G min_{a in G} min_box a, so f(0) at that bound is the minimum,
-    at 0.  Otherwise it is -max(-f), unless the reflection outgrows the piece
-    cap: then the least value at the arrangement vertices, the first of
-    equal ones.
+    f(0) = L is the minimum, at 0; else -max(-f), unless the reflection
+    outgrows the piece cap: then the first least value at the vertices.
     """
     zero = _at_zero(f)
-    if zero == max(min(row[0] + sum(c for c in row[1:] if c < 0) for row in g) for g in f.rows):
+    if zero == _row_bounds(f)[0]:
         return Fraction(zero, f.den), lambda: (ZERO,) * f.n  # 0 is the least point of the box
     try:
         negated = mm_negate(f)

@@ -49,6 +49,14 @@ def _json_number(x):
     raise TypeError(f"{x!r} is not a rational number or string")
 
 
+def _json_array(x):
+    # a string or an object where an array belongs would be read one
+    # character or key at a time
+    if not isinstance(x, (list, tuple)):
+        raise TypeError(f"expected an array, got {type(x).__name__}")
+    return x
+
+
 @dataclass(frozen=True)
 class Affine:
     """c0 + c1*x1 + ... + cn*xn with exact rational coefficients."""
@@ -462,8 +470,8 @@ def maxmin_from_json(data: dict) -> MaxMin:
         if type(n) is not int:  # a JSON integer; bool is an int subclass
             raise ValueError(f"n must be an integer, got {n!r}")
         groups = tuple(
-            tuple(Affine(n, tuple(map(_json_number, piece))) for piece in group)
-            for group in data["groups"]
+            tuple(Affine(n, tuple(map(_json_number, _json_array(piece)))) for piece in _json_array(group))
+            for group in _json_array(data["groups"])
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed piecewise-linear JSON: {exc}") from exc

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import RangeViolationError
 from .formula import Delta, Formula, Join, Meet, Ominus, Oplus, RConst, Var
-from .geometry import _extrema
+from .geometry import _check_unit_range
 # unused here, but perfbench/tracing.py wraps maxmin_eval at this attribute
 from .pwl import Affine, MaxMin, _check_cap, maxmin_eval  # noqa: F401
 
@@ -75,13 +74,11 @@ def synth_pwl(f: MaxMin, budget=None) -> Formula:
     the unit truncation and the per-piece syntheses can be joined back
     exactly).  Otherwise raises :class:`RangeViolationError` at the witness
     of the minimum (below 0) or else of the maximum (above 1), as
-    :func:`rieszmv.geometry.extrema` gives them; ``budget`` caps its pivots.
+    :func:`rieszmv.geometry.extrema` gives them.  An extremum, whose pivots
+    ``budget`` caps, is computed only where the bounds read off the rows
+    leave [0, 1], never for a function the package builds.
     """
-    lo, lo_at, hi, hi_at = _extrema(f, budget)
-    if lo < 0:
-        raise RangeViolationError("function drops below 0", lo_at(), lo)
-    if hi > 1:
-        raise RangeViolationError("function exceeds 1", hi_at(), hi)
+    _check_unit_range(f, budget)
 
     result = None
     for group in f.groups:

@@ -6,8 +6,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import rieszmv
-from rieszmv import cli, coherence, evaluate, maxmin_eval, parse
+from rieszmv import cli, coherence, evaluate, geometry, maxmin_eval, parse
 from rieszmv.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, build_parser, main
 from rieszmv.pwl import maxmin_to_json, term_pwl
 
@@ -175,9 +177,10 @@ def test_high_dimensional_coherence_counts_its_hyperplanes_and_synth_needs_none(
 
 
 def test_synth_past_the_piece_cap_of_the_reflection_scans_the_vertices(tmp_path, capsys):
-    # the minimum of a bare Max-Min function is -max(-f); the reflection of
-    # this term function (n = 1, 13 groups of up to 10 pieces) outgrows the
-    # piece cap, so its minimum comes from the arrangement vertices instead
+    # a term function (n = 1, 13 groups of up to 10 pieces) whose reflection
+    # outgrows the piece cap; its row bounds lie in [0, 1], so this synth
+    # needs no minimum (the vertex scan that such a minimum falls back to is
+    # covered by test_minimum_past_the_piece_cap_of_the_reflection_comes_from_the_vertex_scan)
     a = "(C[2/5] \\/ !v1) (.) (!v1 (+) !v1)"
     f = term_pwl(parse(f"({a} (+) {a}) (.) ({a} (+) {a})"), 1)
     path = tmp_path / "mirrored.json"
@@ -354,6 +357,72 @@ def test_budget_must_be_a_nonnegative_integer(capsys, monkeypatch):
         assert err == f"error: RIESZ_BUDGET must be a nonnegative integer, got '{value}'\n"
     monkeypatch.setenv("RIESZ_BUDGET", "0")
     assert run(capsys, "min", "v1") == (EXIT_OK, "0\n0\n", "")
+
+
+def test_arity_must_be_a_nonnegative_integer(capsys):
+    for value in ("-1", "-2"):
+        code, out, err = run(capsys, "components", "C[1/2]", "--arity", value)
+        assert (code, out) == (EXIT_USAGE, ""), value
+        assert err.endswith(f"rieszmv: error: argument --arity: must be a nonnegative integer, got {value}\n"), err
+    assert run(capsys, "components", "C[1/2]", "--arity", "0") == (EXIT_OK, "1/2\n", "")
+
+
+BOOK_ONE = {"events": [{"formula": "v1", "odd": "1"}]}
+
+
+# a JSON string where an array belongs: (command, book, file text, message)
+@pytest.mark.parametrize(
+    "command, book, text, message",
+    [
+        ("synth", None, '{"n": 0, "groups": "12"}', "piecewise-linear"),
+        ("synth", None, '{"n": 0, "groups": ["12"]}', "piecewise-linear"),
+        ("synth", None, '{"n": 1, "groups": [["12"]]}', "piecewise-linear"),
+        ("coherent", None, '{"events": "v1"}', "book"),
+        ("verify", BOOK_ONE, '{"kind": "coherent", "support": "1"}', "certificate"),
+        ("verify", BOOK_ONE, '{"kind": "coherent", "support": [{"point": "1", "weight": "1"}]}', "certificate"),
+        ("verify", BOOK_INCOHERENT, '{"kind": "incoherent", "stakes": "11", "margin": "1/5"}', "certificate"),
+    ],
+    ids=["groups", "group", "pieces", "events", "support", "points", "stakes"],
+)
+def test_a_string_where_an_array_belongs_is_malformed(tmp_path, capsys, command, book, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "verify":
+        book_path = tmp_path / "book.json"
+        book_path.write_text(json.dumps(book))
+        argv = ("coherent", str(book_path), "--verify", str(path))
+    else:
+        argv = (command, str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"error: malformed {message} JSON: expected an array, got str\n"
+
+
+def test_span_solves_one_minimum(tmp_path, capsys, monkeypatch):
+    # trunc(1/2 - x1) of these stakes is f(0) = 17/20 above its lower row
+    # bound 0, so its minimum needs the reflection; the synthesis of a span
+    # member needs no extremum, so the verdict's _box_min is the only one
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(BOOK_INCOHERENT))
+    calls = []
+    box_min, box_max = geometry._box_min, geometry._box_max
+
+    def counted_min(*args):
+        calls.append("min")
+        try:
+            return box_min(*args)
+        finally:
+            calls.append("end")
+
+    def counted_max(*args):
+        calls.append("max" if calls[-1:] == ["min"] else "max outside _box_min")
+        return box_max(*args)
+
+    monkeypatch.setattr(geometry, "_box_min", counted_min)
+    monkeypatch.setattr(geometry, "_box_max", counted_max)
+    code, out, err = run(capsys, "span", str(path), "--", "-1", "1/2")
+    assert (code, out.splitlines()[1:], err) == (EXIT_OK, ["invalid", "17/30"], "")
+    assert calls == ["min", "max", "end"]
 
 
 def test_huge_values_out_of_range_print_as_bounds(tmp_path, capsys):

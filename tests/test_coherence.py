@@ -295,3 +295,13 @@ def test_certificate_json_round_trip():
     data = certificate_to_json(ok)
     assert data["kind"] == "coherent"
     assert certificate_from_json(data) == ok
+
+
+def test_a_support_point_may_carry_coordinates_the_book_does_not_use():
+    # a point of a larger box is an evaluation of the book's variables with
+    # the rest unused; a point missing a variable the book uses is an error
+    book = _book(("v1", "1"))
+    for point in ((F(1),), (F(1), F(0), F(1, 2))):
+        assert verify_certificate(book, Coherent(StateWitness(((point, F(1)),)))), point
+    with pytest.raises(ValueError, match="^arity mismatch"):
+        verify_certificate(_book(("v1 (.) v2", "1")), Coherent(StateWitness((((F(1),), F(1)),))))

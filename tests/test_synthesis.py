@@ -6,12 +6,14 @@ import pytest
 
 from rieszmv import (
     Affine,
+    BudgetExceededError,
     MaxMin,
     RangeViolationError,
     constant,
     evaluate,
     format_formula,
     is_valid,
+    linear_combination,
     maxmin_eval,
     parse,
     projection,
@@ -21,8 +23,18 @@ from rieszmv import (
     term_pwl,
     trunc,
 )
+from rieszmv import geometry
 
-from helpers import candidate_vertices, clamp, grid_points, rand_affine, rand_formula, rand_maxmin, rand_point
+from helpers import (
+    candidate_vertices,
+    clamp,
+    grid_points,
+    rand_affine,
+    rand_formula,
+    rand_maxmin,
+    rand_point,
+    rand_signed,
+)
 
 F = Fraction
 
@@ -111,3 +123,52 @@ def test_free_algebra_round_trip_random():
         phi = rand_formula(rng, n, 3)
         f = term_pwl(phi, n)
         assert semantic_equiv(synth_pwl(f), phi)
+
+
+def test_row_bounds_settle_the_range_of_every_function_the_package_builds(monkeypatch):
+    # term functions, truncations and linear combinations with signed
+    # weights all have row bounds 0 <= L <= f <= U <= 1, so synthesizing
+    # them solves no LP and builds no reflection
+    rng = random.Random(137)
+    built, negative = [], 0
+    for trial in range(600):
+        n = trial % 4 + 1
+        kind = trial // 4 % 3
+        if kind == 0:
+            f = term_pwl(rand_formula(rng, n, 3), n)
+        elif kind == 1:
+            f = trunc(rand_maxmin(rng, n, bound=3))
+        else:
+            fs = [term_pwl(rand_formula(rng, min(n, 2), 2), n) for _ in range(rng.randint(1, 3))]
+            cs = [rand_signed(rng, 2, 4) for _ in fs]
+            negative += min(cs) < 0
+            f = linear_combination(fs, cs)
+        points = [rand_point(rng, n) for _ in range(6)]
+        lower, upper = geometry._row_bounds(f)
+        assert 0 <= lower and upper <= f.den, f
+        assert all(lower <= maxmin_eval(f, x) * f.den <= upper for x in points), f
+        built.append((f, points))
+    assert negative > 100, negative
+
+    def forbidden(*args):
+        raise AssertionError("synthesis solved an extremum")
+
+    monkeypatch.setattr(geometry, "solve_lp", forbidden)
+    monkeypatch.setattr(geometry, "mm_negate", forbidden)
+    for f, points in built:
+        phi = synth_pwl(f)
+        assert all(evaluate(phi, x) == maxmin_eval(f, x) for x in points), f
+
+
+def test_a_range_the_rows_do_not_settle_costs_the_exact_minimum():
+    # max(x1 - 1/2, 1/2 - x1) stays in [0, 1/2], but its lower row bound is
+    # -1/2; its truncation is the same function with lower row bound 0
+    f = MaxMin(1, [[Affine(1, (F(-1, 2), F(1)))], [Affine(1, (F(1, 2), F(-1)))]])
+    settled = trunc(f)
+    assert geometry._row_bounds(f) == (-1, 1) and f.den == 2
+    assert geometry._row_bounds(settled)[0] == 0
+    with pytest.raises(BudgetExceededError, match="^simplex pivots of the group maxima in dimension 1: "):
+        synth_pwl(f, budget=0)
+    phi, psi = synth_pwl(f), synth_pwl(settled, budget=0)
+    for x in grid_points(1, 8):
+        assert evaluate(phi, x) == evaluate(psi, x) == maxmin_eval(f, x)
