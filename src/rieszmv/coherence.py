@@ -3,15 +3,16 @@
 A book assigns a rational betting odd to each event formula.  Coherence —
 no stake vector gives the bettor a guaranteed strict win against the
 bookmaker — is equivalent to the odds vector lying in the convex hull of
-the evaluation image of the events, which is spanned by finitely many
-arrangement vertices.  That membership is decided by an exact LP; both
-outcomes come with machine-checkable certificates:
+the evaluation image of the events: the hull of its values at the vertices
+of the arrangement of the box facets and each event's own piece differences.
+That membership is decided by an exact LP; both outcomes come with
+machine-checkable certificates:
 
 * a state witness: a convex combination of at most k+1 evaluations whose
   barycenter reproduces every odd exactly, or
 * a Dutch book: stakes with a positive margin of guaranteed loss, certified
-  at every candidate vertex (hence at every evaluation, the stake payoff
-  being piecewise linear with extrema on the vertex set).
+  at every vertex of the staked events' arrangement (hence at every
+  evaluation, the payoff being piecewise linear with extrema there).
 """
 
 from __future__ import annotations
@@ -94,14 +95,14 @@ class Incoherent:
 def event_image(book: Book, budget=None):
     """Arrangement vertices with the per-event value vectors at each.
 
-    The union of all events' affine pieces refines every event's linearity
-    regions, so the value map is affine on each cell and the convex hull of
-    the returned vectors equals the hull of the full evaluation image.
+    Each event is affine on every cell cut by its own pairwise piece
+    differences, so the value map is affine on each cell of the arrangement
+    of all events' own differences and the box facets (never the differences
+    across events): the returned vectors span the evaluation image's hull.
     """
     n = book.dimension
     terms = [term_pwl(phi, n) for phi, _ in book.events]
-    pooled = [a for f in terms for a in components(f)]
-    vertices = vertices_from_components(n, pooled, budget)
+    vertices = vertices_from_components(n, *map(components, terms), budget=budget)
     return [(v, tuple(maxmin_eval(f, v) for f in terms)) for v in vertices]
 
 
@@ -142,7 +143,8 @@ def verify_certificate(book: Book, result, budget=None) -> bool:
 
     A state witness must reproduce every odd as a convex combination of at
     most k+1 evaluations; Dutch-book stakes must lose at least the margin
-    at every candidate vertex of the book's arrangement.
+    at every vertex of the image of the staked events (a zero stake adds
+    nothing to the payoff), and some stake must be nonzero.
     """
     if isinstance(result, Coherent):
         if len(result.witness.support) > book.k + 1:
@@ -153,8 +155,11 @@ def verify_certificate(book: Book, result, budget=None) -> bool:
         margin = result.dutch_book.margin
         if len(stakes) != book.k or margin <= 0:
             return False
-        odds = [r for _, r in book.events]
-        return _max_payoff(stakes, odds, event_image(book, budget)) <= -margin
+        staked = [(event, c) for event, c in zip(book.events, stakes) if c]
+        if not staked:
+            return False
+        events, stakes = zip(*staked)
+        return _max_payoff(stakes, [r for _, r in events], event_image(Book(events), budget)) <= -margin
     raise TypeError(f"not a coherence result: {result!r}")
 
 

@@ -12,11 +12,11 @@ the lexicographically least extremal point, from successive LPs: an
 arrangement vertex, so the first sorted vertex a scan would report.
 ``--budget`` caps the simplex pivots of one maximum and its witness.
 
-Every vertex of the arrangement of the pairwise piece differences and the
-box facets is needed by the event image of coherence, and by the minimum of
-a bare Max-Min function whose reflection -f outgrows the piece cap (it is
-exponential in the groups); the scan then reports the least value at the
-first vertex, and the budget counts hyperplane n-subsets.
+Every vertex of the arrangement of the box facets and the pairwise piece
+differences within each family (one family per event) is needed by the event
+image of coherence, and by the minimum of a bare Max-Min function whose
+reflection -f outgrows the piece cap (exponential in the groups); the scan
+reports the least value at the first vertex, the budget counting n-subsets.
 :func:`vertices_from_components` finds the vertices in integer arithmetic,
 walking the n-subsets of the hyperplanes (budgeted by their number,
 C(H, n)) with a null-space basis of each prefix.
@@ -90,12 +90,12 @@ def _primitive(v):
     return tuple(c // g for c in v)
 
 
-def vertices_from_components(n, affines, budget=None):
-    """Candidate extremum points for any Max-Min built from ``affines``.
+def vertices_from_components(n, *families, budget=None):
+    """Candidate extremum points for Max-Min functions, one from each family.
 
-    Intersects every n-subset of the difference/facet hyperplane family,
-    keeps the nonsingular solutions inside the box, and returns them sorted
-    and deduplicated.  Always contains all box corners.
+    Intersects every n-subset of the box facets and the differences within
+    each family, keeps the nonsingular solutions inside the box, and returns
+    them sorted and deduplicated.  Always contains all box corners.
 
     The walk is depth first in homogeneous coordinates (x0, ..., xn), carrying
     an integer null-space basis of the rows chosen so far; a row orthogonal to
@@ -105,7 +105,7 @@ def vertices_from_components(n, affines, budget=None):
     if n < 1:
         raise ValueError("vertex enumeration needs dimension >= 1")
     budget = effective_budget(budget)
-    differences = _differences(affines)
+    differences = set().union(*map(_differences, families))
     # count the hyperplanes first: the 2n facet rows alone hold O(n^2) entries
     count = len(differences) + 2 * n - sum(map(_is_facet, differences))
     systems = math.comb(count, n)
@@ -191,7 +191,7 @@ def _box_min(f: MaxMin, budget):
     try:
         negated = mm_negate(f)
     except BudgetExceededError:
-        scan = [(maxmin_eval(f, v), v) for v in vertices_from_components(f.n, components(f), budget)]
+        scan = [(maxmin_eval(f, v), v) for v in vertices_from_components(f.n, components(f), budget=budget)]
         lo, point = min(scan, key=operator.itemgetter(0))  # min returns the first of equal items
         return lo, lambda: point
     neg, at = _box_max(negated, budget)

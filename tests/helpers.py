@@ -32,6 +32,7 @@ from rieszmv import (
     components,
     maxmin_eval,
     program,
+    term_pwl,
     vertices_from_components,
 )
 from rieszmv.geometry import effective_budget
@@ -206,7 +207,7 @@ def luk_is_valid(phi, budget=None):
 
 def candidate_vertices(f, budget=None):
     """Vertex candidates for the extrema of ``f`` over the box."""
-    return vertices_from_components(f.n, components(f), budget)
+    return vertices_from_components(f.n, components(f), budget=budget)
 
 
 def vertex_extrema(f, budget=None):
@@ -218,6 +219,18 @@ def vertex_extrema(f, budget=None):
     by_value = operator.itemgetter(0)
     # min and max return the first of equal items
     return min(scan, key=by_value) + max(scan, key=by_value)
+
+
+def pooled_event_image(book, budget=None):
+    """Reference for ``event_image``: the vertices of the arrangement of all
+    events' pieces pooled into one family, so the differences across events
+    cut it too, with the value vectors there.  Its points include those of
+    the per-event image and its vectors span the same hull."""
+    n = book.dimension
+    terms = [term_pwl(phi, n) for phi, _ in book.events]
+    pooled = [a for f in terms for a in components(f)]
+    vertices = vertices_from_components(n, pooled, budget=budget)
+    return [(v, tuple(maxmin_eval(f, v) for f in terms)) for v in vertices]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from rieszmv import (
     Book,
+    BudgetExceededError,
     Coherent,
     DutchBook,
     Incoherent,
@@ -30,8 +31,10 @@ from rieszmv import (
     state_eval,
     verify_certificate,
 )
+from rieszmv import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Ominus, Oplus, RConst, Var, coherence
 
 from helpers import clamp, rand_formula, rand_point, rand_signed, rand_unit
+from helpers import pooled_event_image
 
 F = Fraction
 
@@ -305,3 +308,104 @@ def test_a_support_point_may_carry_coordinates_the_book_does_not_use():
         assert verify_certificate(book, Coherent(StateWitness(((point, F(1)),)))), point
     with pytest.raises(ValueError, match="^arity mismatch"):
         verify_certificate(_book(("v1 (.) v2", "1")), Coherent(StateWitness((((F(1),), F(1)),))))
+
+
+def test_event_image_skips_the_differences_across_events():
+    # x1 - 1/2 and x1 - 2/3 are each event's own; x1 - 1/3, between the
+    # pieces x1 and 1/3 of two different events, cuts only the pooled image
+    book = _book(("v1 /\\ C[1/2]", "1/2"), ("!v1 \\/ C[1/3]", "1/2"))
+    image = event_image(book)
+    assert [p for p, _ in image] == [(F(0),), (F(1, 2),), (F(2, 3),), (F(1),)]
+    assert [v for _, v in image] == [(F(0), F(1)), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(1, 2), F(1, 3))]
+    assert [p for p, _ in pooled_event_image(book)] == [(F(0),), (F(1, 3),), (F(1, 2),), (F(2, 3),), (F(1),)]
+
+
+# (n, largest k, binary connectives per event), the book shapes of the
+# perfbench ``books`` workload
+_BOOK_SHAPES = ((1, 8, 2), (2, 5, 1), (3, 3, 1))
+
+
+def _event(rng, n, binaries, scalars):
+    # a random event with exactly ``binaries`` binary connectives
+    if binaries == 0:
+        phi = RConst(rand_unit(rng, 8)) if scalars and rng.random() < 0.1 else Var(rng.randint(1, n))
+    else:
+        left = rng.randint(0, binaries - 1)
+        kind = rng.choice((Implies, Oplus, Odot, Join, Meet, Ominus, Iff))
+        phi = kind(_event(rng, n, left, scalars), _event(rng, n, binaries - 1 - left, scalars))
+    if rng.random() < 0.3:
+        if scalars and rng.random() < 0.55:
+            return rng.choice((Delta, Nabla))(F(rng.randint(1, 8), 8), phi)
+        return Neg(phi)
+    return phi
+
+
+def _shaped_book(rng, shape, kind):
+    # kind 0: odds from a convex combination of points (coherent); kind 1:
+    # some phi and !phi with odds not summing to 1 (incoherent); kind 2:
+    # random odds
+    n, most, binaries = shape
+    k = rng.randint(2 if kind == 1 else 1, most)
+    scalars = rng.random() < 0.5
+    events = [_event(rng, n, binaries, scalars) for _ in range(k)]
+    odds = [rand_unit(rng, 8) for _ in range(k)]
+    if kind == 0:
+        points = [rand_point(rng, n, 8) for _ in range(rng.randint(1, 3))]
+        raw = [rng.randint(1, 6) for _ in points]
+        odds = [sum(F(w, sum(raw)) * evaluate(phi, p) for w, p in zip(raw, points)) for phi in events]
+    elif kind == 1:
+        i, j = rng.sample(range(k), 2)
+        events[j] = Neg(events[i])
+        while odds[i] + odds[j] == 1:
+            odds[j] = rand_unit(rng, 8)
+    return Book(tuple(zip(events, odds)))
+
+
+def test_per_event_image_agrees_with_the_pooled_oracle(monkeypatch):
+    rng = random.Random(181)
+    books = [_shaped_book(rng, _BOOK_SHAPES[i % 3], i // 3 % 3) for i in range(540)]
+    with monkeypatch.context() as m:
+        m.setattr(coherence, "event_image", pooled_event_image)
+        oracle = [check_coherent(book) for book in books]
+    verdicts = {Coherent: 0, Incoherent: 0}
+    for book, expected in zip(books, oracle):
+        result = check_coherent(book)
+        assert type(result) is type(expected), book
+        verdicts[type(result)] += 1
+        pooled = pooled_event_image(book)
+        assert {p for p, _ in event_image(book)} <= {p for p, _ in pooled}
+        odds = [r for _, r in book.events]
+        if isinstance(result, Coherent):
+            assert len(result.witness.support) <= book.k + 1
+            assert all(state_eval(result.witness, phi) == r for phi, r in book.events), book
+        else:
+            stakes = result.dutch_book.stakes
+            payoffs = [sum(c * (r - v) for c, r, v in zip(stakes, odds, values)) for _, values in pooled]
+            assert result.dutch_book.margin == -max(payoffs), book
+        assert verify_certificate(book, result), book
+    assert min(verdicts.values()) > 150, verdicts
+
+
+def test_a_dutch_book_is_verified_on_its_staked_events_alone():
+    # v1 and !v1 have one piece each, so their image needs only the two
+    # facets, C(2, 1) = 2 systems; v1 (+) v1 adds the hyperplane x1 = 1/2
+    book = _book(("v1", "1/2"), ("!v1", "3/10"), ("v1 (+) v1", "1/2"))
+    with pytest.raises(BudgetExceededError):
+        event_image(book, budget=2)
+    assert verify_certificate(book, Incoherent(DutchBook((F(1), F(1), F(0)), F(1, 5))), budget=2)
+    assert not verify_certificate(book, Incoherent(DutchBook((F(1), F(1), F(0)), F(1, 4))), budget=2)
+    # no stake at all: no payoff to lose, and no image to build even at budget 0
+    assert not verify_certificate(book, Incoherent(DutchBook((F(0),) * 3, F(1, 5))), budget=0)
+
+
+def test_a_book_past_the_budget_only_when_pooled_is_decided():
+    # each event's own differences give H = 4 (x1 = 1/2, x1 = 2/3 and the
+    # two facets); pooling adds x1 = 1/3, so C(5, 1) = 5 systems
+    for odd, verdict in (("1/2", Coherent), ("1/4", Incoherent)):
+        book = _book(("v1 /\\ C[1/2]", "1/2"), ("!v1 \\/ C[1/3]", odd))
+        with pytest.raises(BudgetExceededError) as err:
+            pooled_event_image(book, budget=4)
+        assert err.value.size == 5
+        result = check_coherent(book, budget=4)
+        assert isinstance(result, verdict)
+        assert verify_certificate(book, result, budget=4)
