@@ -13,7 +13,9 @@ subformulas share one entry.  :func:`arity`, :func:`evaluate`, :func:`expand`,
 :func:`nnf` (negation normal form) and ``pwl.term_pwl`` are each one loop over
 it, and ``==`` and ``hash()`` read it.  :func:`format_formula` and ``repr()``
 keep explicit stacks of their own, so formulas built in code may be of any
-depth; only the parser recurses.
+depth; only the parser recurses.  :func:`parse` takes its tokens from one
+regex scan and interns each node into the program as it builds it, through
+the helper :func:`program` uses, so a parsed formula is never walked again.
 
 Concrete grammar (ASCII, precedence low to high, ``->`` right-associative)::
 
@@ -256,20 +258,25 @@ def program(phi: Formula) -> tuple:
             key = (RConst, node.r, None, None)
         else:
             raise TypeError(f"not a formula node: {node!r}")
-        k = index.setdefault(key, len(entries))
-        if k == len(entries):  # a new subformula: find its den
-            _, r, i, j = key
-            if j is None:  # a leaf or unary node; an int payload has denominator 1
-                den = (1 if i is None else entries[i][4]) * (1 if r is None else r.denominator)
-            else:
-                di, dj = entries[i][4], entries[j][4]
-                den = di if di == dj else math.lcm(di, dj)
-            entries.append(key + (den,))
-        position[id(node)] = k
+        position[id(node)] = _intern(entries, index, key)
         stack.pop()
     entries = tuple(entries)
     object.__setattr__(phi, "_program", entries)
     return entries
+
+
+def _intern(entries, index, key):
+    """Position of ``key`` in ``entries``, appended with its den when new."""
+    k = index.setdefault(key, len(entries))
+    if k == len(entries):  # a new subformula: find its den
+        _, r, i, j = key
+        if j is None:  # a leaf or unary node; an int payload has denominator 1
+            den = (1 if i is None else entries[i][4]) * (1 if r is None else r.denominator)
+        else:
+            di, dj = entries[i][4], entries[j][4]
+            den = di if di == dj else math.lcm(di, dj)
+        entries.append(key + (den,))
+    return k
 
 
 def arity(phi: Formula) -> int:
@@ -424,67 +431,66 @@ def nnf(phi: Formula) -> tuple:
 # Tokenizer / parser
 
 
+# One alternative per token, the binary symbols first so that "(+)" is not "(".
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<binary>""" + "|".join(re.escape(op) for op in sorted(_BINARY, key=len, reverse=True)) + r""")
-    | (?P<neg>!)
-    | (?P<delta>D\[)
-    | (?P<nabla>N\[)
-    | (?P<const>C\[)
-    | (?P<rbrack>\])
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<var>v\d+)
-    | (?P<rat>\d+\.\d+|\d+(?:/\d+)?)
-    """,
-    re.VERBOSE,
+    "|".join(re.escape(op) for op in sorted(_BINARY, key=len, reverse=True))
+    + r"|!|[DNC]\[|\]|\(|\)|v\d+|\d+\.\d+|\d+(?:/\d+)?"
 )
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = match.lastgroup
-        if kind != "ws":
-            tokens.append((kind, match.group(), pos))
-        pos = match.end()
-    tokens.append(("eof", "", len(text)))
+    # One scan; a character that no token covers shows as a shortfall against
+    # the non-whitespace characters, and only then is it looked for.
+    tokens = _TOKEN_RE.findall(text)
+    if sum(map(len, tokens)) != sum(map(len, text.split())):
+        rest = _TOKEN_RE.sub(lambda match: " " * len(match[0]), text)
+        pos = len(rest) - len(rest.lstrip())
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append("")  # the end of input
     return tokens
 
 
 class _Parser:
+    """Recursive descent that interns each node into the program as it builds it.
+
+    Every grammar method returns the node and the position of its entry.
+    """
+
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.entries = []
+        self.index = {}
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def fail(self, message):
+        # the current token's position, found only for an error
+        starts = [match.start() for match in _TOKEN_RE.finditer(self.text)]
+        raise ParseError(message, (starts + [len(self.text)])[self.i])
 
-    def expect(self, kind, what):
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2])
+    def intern(self, node, r, i=None, j=None):
+        return node, _intern(self.entries, self.index, (type(node), r, i, j))
+
+    def expect(self, token):
+        found = self.tokens[self.i]
+        if found != token:
+            self.fail(f"expected {token!r}, found {found or 'end of input'!r}")
         self.i += 1
-        return tok
 
     def scalar(self):
-        kind, value, pos = self.expect("rat", "a rational literal")
+        value = self.tokens[self.i]
+        if not value[:1].isdecimal():
+            self.fail(f"expected a rational literal, found {value or 'end of input'!r}")
         if "/" in value:
             num, den = value.split("/")
             if int(den) == 0:
-                raise ParseError("zero denominator", pos)
+                self.fail("zero denominator")
             r = Fraction(int(num), int(den))
         else:
             r = Fraction(value)
         if r > 1:
-            raise ParseError(f"scalar {value} outside [0, 1]", pos)
+            self.fail(f"scalar {value} outside [0, 1]")
+        self.i += 1
         return r
 
     def binary(self, level):
@@ -492,52 +498,57 @@ class _Parser:
         # per precedence level, left-associative unless _INFIX says otherwise.
         if level == _UNARY:
             return self.unary()
-        left = self.binary(level + 1)
+        left, i = self.binary(level + 1)
         while True:
-            row = _BINARY.get(self.tokens[self.i][1])
+            row = _BINARY.get(self.tokens[self.i])
             if row is None or row[0] != level:
-                return left
+                return left, i
             self.i += 1
-            left = row[1](left, self.binary(row[2]))
+            right, j = self.binary(row[2])
+            left, i = self.intern(row[1](left, right), None, i, j)
 
     def unary(self):
-        kind = self.tokens[self.i][0]
-        if kind == "neg":
-            self.take()
-            return Neg(self.unary())
-        if kind in ("delta", "nabla"):
-            self.take()
+        token = self.tokens[self.i]
+        if token == "!":
+            self.i += 1
+            child, i = self.unary()
+            return self.intern(Neg(child), None, i)
+        if token == "D[" or token == "N[":
+            self.i += 1
             r = self.scalar()
-            self.expect("rbrack", "']'")
-            child = self.unary()
-            return Delta(r, child) if kind == "delta" else Nabla(r, child)
+            self.expect("]")
+            child, i = self.unary()
+            node = (Delta if token == "D[" else Nabla)(r, child)
+            return self.intern(node, node.r, i)
         return self.atom()
 
     def atom(self):
-        kind, value, pos = self.take()
-        if kind == "var":
-            index = int(value[1:])
+        token = self.tokens[self.i]
+        if token[:1] == "v":
+            index = int(token[1:])
             if index == 0:
-                raise ParseError("variable index must be at least 1", pos)
-            return Var(index)
-        if kind == "const":
-            r = self.scalar()
-            self.expect("rbrack", "']'")
-            return RConst(r)
-        if kind == "lparen":
-            inner = self.binary(0)
-            self.expect("rparen", "')'")
-            return inner
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+                self.fail("variable index must be at least 1")
+            self.i += 1
+            return self.intern(Var(index), index)
+        if token != "C[" and token != "(":
+            self.fail(f"expected a formula, found {token or 'end of input'!r}")
+        self.i += 1
+        if token == "C[":
+            node = RConst(self.scalar())
+            self.expect("]")
+            return self.intern(node, node.r)
+        inner = self.binary(0)
+        self.expect(")")
+        return inner
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text into its AST; raises :class:`ParseError`."""
+    """Parse formula text into its AST, its :func:`program` filled in; raises :class:`ParseError`."""
     parser = _Parser(text)
-    phi = parser.binary(0)
-    tok = parser.tokens[parser.i]
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    phi, _ = parser.binary(0)
+    if parser.tokens[parser.i]:
+        parser.fail(f"trailing input {parser.tokens[parser.i]!r}")
+    object.__setattr__(phi, "_program", tuple(parser.entries))
     return phi
 
 

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import math
 import random
+import re
 import sys
 import threading
 import time
@@ -121,6 +123,97 @@ def test_parse_errors_are_pinned():
     assert hashlib.sha256("\n".join(errors).encode()).hexdigest() == (
         "8e84c3a5a9f9dae4e780480b881fa5bfbbe43c5a16f2270ef3746ae024cd51ea"
     )
+
+
+def _tree_walk(phi, entries, index):
+    # the program by plain recursion, apart from formula._intern: position of
+    # phi's entry, equal subformulas sharing one, den the lcm of the
+    # children's times the scalar's denominator
+    children = [getattr(phi, name) for name in ("left", "right", "child") if hasattr(phi, name)]
+    positions = [_tree_walk(child, entries, index) for child in children]
+    payload = phi.index if type(phi) is Var else getattr(phi, "r", None)
+    key = (type(phi), payload, *positions, *[None] * (2 - len(positions)))
+    if key not in index:
+        den = math.lcm(1, *[entries[k][4] for k in positions]) * getattr(payload, "denominator", 1)
+        index[key] = len(entries)
+        entries.append(key + (den,))
+    return index[key]
+
+
+def _spelled(rng, match):
+    # an equal spelling of the scalar p/q: p/q, 2p/2q, or a decimal
+    r = F(match[1])
+    spellings = [f"{r.numerator}/{r.denominator}", f"{2 * r.numerator}/{2 * r.denominator}"]
+    if 1000 % r.denominator == 0:
+        decimal = Decimal(r.numerator) / r.denominator
+        spellings += [str(decimal), f"{decimal:.3f}"]
+    return f"[{rng.choice(spellings)}]"
+
+
+def _noisy(rng, text):
+    # redundant parentheses around variables, and other whitespace between tokens
+    text = re.sub(r"v\d+", lambda m: f"({m[0]})" if rng.random() < 0.3 else m[0], text)
+    return re.sub(r" |(?<=\()(?![+.-])", lambda _: rng.choice(("", " ", "\t", "\n", "  ", "\r\n", "\u00a0")), text)
+
+
+def test_parsed_program_equals_the_tree_walk():
+    rng = random.Random(149)
+    for k in range(5400):
+        n = rng.randint(1, 4)
+        phi = rand_formula(rng, n, rng.randint(0, 7), scalars=bool(k % 2))
+        if k % 3 == 1:  # a DAG: one subformula occurs many times in its text
+            shared = rand_formula(rng, n, 3)
+            for _ in range(rng.randint(2, 6)):
+                phi = rng.choice((Join, Oplus, Implies, Iff))(shared, Neg(phi) if rng.random() < 0.3 else phi)
+        text = format_formula(phi)
+        if k % 3 == 2:  # scalars respelled, such as 0.5, 1/2 and 2/4 for 1/2
+            text = re.sub(r"\[([^]]*)\]", lambda m: _spelled(rng, m), text)
+            wraps = rng.randint(0, 2)
+            text = "(" * wraps + _noisy(rng, text) + ")" * wraps
+        parsed = parse(text)
+        cached = parsed._program
+        object.__setattr__(parsed, "_program", None)
+        assert program(parsed) == cached, text
+        entries = []
+        _tree_walk(parsed, entries, {})
+        assert cached == tuple(entries), text
+        assert parsed == phi and hash(parsed) == hash(phi), text
+    assert parse("D[0.5] v1 (+) D[1/2] v1 (+) D[2/4] v1")._program == (
+        (Var, 1, None, None, 1),
+        (Delta, F(1, 2), 0, None, 2),
+        (Oplus, None, 1, 1, 2),
+        (Oplus, None, 2, 1, 2),
+    )
+
+
+def test_tokens_the_digests_do_not_reach_are_pinned():
+    # literal expectations taken from the per-token tokenizer this one replaced:
+    # every Unicode whitespace separates tokens
+    assert parse("v1\u00a0->\tv2\n(+)\r\nv3") == Implies(Var(1), Oplus(Var(2), Var(3)))
+    assert parse("\u00a0\u2003v1\u3000/\\\x0bv2\x1c") == Meet(Var(1), Var(2))
+    assert parse("N[1/2]\u00a0(v1)") == Nabla(F(1, 2), Var(1))
+    # \d matches every Unicode decimal digit, and int() and Fraction() read them
+    assert parse("v\u0663") == Var(3)
+    assert parse("D[\u0661/\u0662] v1") == Delta(F(1, 2), Var(1))
+    assert parse("C[\u0660.\u0665]") == RConst(F(1, 2))
+    long_scalar = "D[1/" + "7" * 400 + "] v1"  # LONG_SCALAR of test_cli.py
+    phi = parse(long_scalar)
+    assert phi == Delta(F(1, int("7" * 400)), Var(1)) and str(phi) == long_scalar
+    assert program(phi)[-1][4] == int("7" * 400)
+    for text, message, position in (
+        ("v1 ->\t\n @ v2", "unexpected character '@'", 8),
+        ("v1 (+)\u00a0 v2 \u00a0#", "unexpected character '#'", 12),
+        ("v1 \u200b-> v2", "unexpected character '\\u200b'", 3),  # a zero-width space is no whitespace
+        ("v\u00b2", "unexpected character 'v'", 0),  # a superscript is no decimal digit
+        ("v1 -> v2\u00a0)", "trailing input ')'", 9),
+        ("\u00a0", "expected a formula, found 'end of input'", 1),
+        (long_scalar + " @", "unexpected character '@'", 409),
+        ("D[" + "7" * 400 + "/1] v1", f"scalar {'7' * 400}/1 outside [0, 1]", 2),
+        ("D[1/" + "0" * 400 + "] v1", "zero denominator", 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
 
 
 def test_print_round_trips_examples():
