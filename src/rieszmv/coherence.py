@@ -17,7 +17,6 @@ machine-checkable certificates:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .formula import Formula, Ominus, Oplus, Nabla, RConst, arity, evaluate, for
 from .geometry import vertices_from_components
 from .kernel import ONE, UnitRational, ZERO
 from .lp import INFEASIBLE, solve_lp
-from .pwl import MaxMin, _exact, _json_array, _json_number, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
+from .pwl import MaxMin, _exact, _json_array, _json_number, _json_value, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
 from .synthesis import synth_pwl
 
 
@@ -63,6 +62,8 @@ class StateWitness:
             raise ValueError("empty support")
         if any(w <= 0 for _, w in support):
             raise ValueError("support weights must be positive")
+        if any(not 0 <= c <= 1 for point, _ in support for c in point):
+            raise ValueError("support coordinates must lie in [0, 1]")
         if sum(w for _, w in support) != 1:
             raise ValueError("support weights must sum to 1")
         object.__setattr__(self, "support", support)
@@ -238,8 +239,7 @@ def signed_difference(phi: Formula, r, c) -> Formula:
 
 def book_from_json(data) -> Book:
     """Book file format: {"events": [{"formula": str, "odd": "p/q"}, ...]}."""
-    if isinstance(data, str):
-        data = json.loads(data, parse_float=Fraction)
+    data = _json_value(data)
     try:
         events = tuple(
             (parse(entry["formula"]), _json_number(entry["odd"]))
@@ -277,8 +277,7 @@ def certificate_to_json(result) -> dict:
 
 
 def certificate_from_json(data):
-    if isinstance(data, str):
-        data = json.loads(data, parse_float=Fraction)
+    data = _json_value(data)
     try:
         if data["kind"] == "coherent":
             support = tuple(

@@ -17,7 +17,7 @@ depth; only the parser recurses.  :func:`parse` takes its tokens from one
 regex scan and interns each node into the program as it builds it, through
 the helper :func:`program` uses, so a parsed formula is never walked again.
 
-Concrete grammar (ASCII, precedence low to high, ``->`` right-associative)::
+Concrete grammar (precedence low to high, ``->`` right-associative)::
 
     formula := iff
     iff     := imp ("<->" imp)*
@@ -33,7 +33,8 @@ The binary rules are one table, ``_INFIX`` (symbol, precedence and the least
 precedence printed bare on each side): the tokenizer, the parser's one
 ``binary(level)`` method and the printer all read it.
 
-Rational literals are ``p/q`` or exact decimals (``0.3`` means 3/10).
+Rational literals are ``p/q`` or exact decimals (``0.3`` means 3/10).  A digit
+is any Unicode decimal digit (``v\u0663`` is v3), printed back in ASCII.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ one loop over :func:`rieszmv.formula.program`; it agrees with
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,11 @@ def _exact(r) -> Fraction:
     if not isinstance(r, (int, Fraction)):
         raise TypeError(f"{r!r} is not exact; pass a Fraction or int")
     return r if isinstance(r, Fraction) else Fraction(r)
+
+
+def _json_value(data):
+    # the one JSON decoder, numbers kept exact; a decoded string is not text again
+    return json.loads(data, parse_float=Fraction) if isinstance(data, str) else data
 
 
 def _json_number(x):
@@ -65,6 +71,8 @@ class Affine:
     coeffs: tuple
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:  # bool is an int subclass
+            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
         coeffs = tuple(map(_exact, self.coeffs))
         if len(coeffs) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} coefficients, got {len(coeffs)}")
@@ -142,14 +150,8 @@ def projection(n: int, i: int) -> MaxMin:
 
 
 def affine_eval(a: Affine, x) -> Fraction:
-    """Value of the affine piece at ``x`` (extra coordinates ignored)."""
-    if len(x) < a.n:
-        raise ValueError(f"point of length {len(x)} for affine of dimension {a.n}")
-    out = a.coeffs[0]
-    for c, xi in zip(a.coeffs[1:], x):
-        if c:
-            out += c * xi
-    return out
+    """Value of the affine piece at ``x``, as :func:`maxmin_eval` reads it."""
+    return maxmin_eval(MaxMin(a.n, ((a,),)), x)
 
 
 def maxmin_eval(f: MaxMin, x) -> Fraction:
@@ -405,8 +407,8 @@ def term_pwl(phi, n: int) -> MaxMin:
                 f = constant(n, 1)
             elif r == 1:
                 f = out[i]
-            else:
-                f = prune(mm_add(constant(n, 1 - r), mm_scale(r, out[i])))
+            else:  # a shift and a positive scaling of a pruned function prune nothing
+                f = mm_add(constant(n, 1 - r), mm_scale(r, out[i]))
         elif kind is Delta:
             f = out[i] if r == 1 else mm_scale(r, out[i])
         elif kind is Oplus:
@@ -453,8 +455,8 @@ def linear_combination(fs, cs) -> MaxMin:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: {"n": int, "groups": [[[c0, ..., cn], ...], ...]} with
-# rationals as strings in lowest terms.
+# JSON interchange: {"n": int, "groups": [[[c0, ..., cn], ...], ...]}, rationals
+# as strings in lowest terms; each reader takes JSON text or its decoded value.
 
 
 def maxmin_to_json(f: MaxMin) -> dict:
@@ -464,11 +466,10 @@ def maxmin_to_json(f: MaxMin) -> dict:
     }
 
 
-def maxmin_from_json(data: dict) -> MaxMin:
+def maxmin_from_json(data) -> MaxMin:
+    data = _json_value(data)
     try:
         n = data["n"]
-        if type(n) is not int:  # a JSON integer; bool is an int subclass
-            raise ValueError(f"n must be an integer, got {n!r}")
         groups = tuple(
             tuple(Affine(n, tuple(map(_json_number, _json_array(piece)))) for piece in _json_array(group))
             for group in _json_array(data["groups"])

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -594,3 +595,137 @@ def test_every_subcommand_keeps_the_exit_code_contract_on_hostile_input(tmp_path
         code, out, err = run(capsys, "synth", str(path))
         assert (code, out) == (EXIT_DOMAIN, ""), text
         assert "malformed piecewise-linear JSON" in err, text
+
+
+def test_a_file_holds_one_json_value_decoded_once(tmp_path, capsys):
+    # a top-level JSON string holding a book or a certificate was decoded a
+    # second time and accepted; n = -1 with no coefficients raised IndexError
+    book, cert, pwl = (tmp_path / name for name in ("book.json", "cert.json", "pwl.json"))
+    book.write_text(json.dumps(BOOK_INCOHERENT))
+    code, good_cert, _ = run(capsys, "coherent", str(book))
+    assert code == EXIT_OK
+    cert.write_text(json.dumps(good_cert))
+    code, out, err = run(capsys, "coherent", str(book), "--verify", str(cert))
+    assert (code, out) == (EXIT_DOMAIN, "") and err.startswith("error: malformed certificate JSON: "), err
+    cert.write_text(good_cert)
+    assert run(capsys, "coherent", str(book), "--verify", str(cert)) == (EXIT_OK, "verified\n", "")
+    book.write_text(json.dumps(json.dumps(BOOK_INCOHERENT)))
+    for argv in (("coherent", str(book)), ("coherent", str(book), "--verify", str(cert)), ("span", str(book), "1", "1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN, "") and err.startswith("error: malformed book JSON: "), argv
+    pwl.write_text('{"n": -1, "groups": [[[]]]}')
+    assert run(capsys, "synth", str(pwl)) == (
+        EXIT_DOMAIN, "", "error: malformed piecewise-linear JSON: n must be a nonnegative integer, got -1\n"
+    )
+
+
+# valid documents the seeded fuzz test below breaks, by file kind
+FUZZ_DOCUMENTS = {
+    "pwl": (
+        {"n": 1, "groups": [[["0", "1"]]]},
+        {"n": 2, "groups": [[["0", "1", "0"], ["1", "-1", "0"]], [["1/2", "0", "1/2"]]]},
+    ),
+    "book": (
+        BOOK_INCOHERENT,
+        {"events": [{"formula": "v1 (+) v2", "odd": "1/2"}, {"formula": "D[1/2] v1 -> v2", "odd": "9/10"}]},
+    ),
+    "cert": (
+        {"kind": "coherent", "support": [{"point": ["0"], "weight": "1/2"}, {"point": ["1"], "weight": "1/2"}]},
+        {"kind": "incoherent", "stakes": ["1", "1"], "margin": "1/5"},
+    ),
+}
+FUZZ_VALUES = (-1, 0, 2, True, False, None, 0.5, "x", "", "-1", "1/0", "12", "v1", [], [[]], [""], {}, {"n": 1})
+FUZZ_FORMULAS = ("v1 -> v2", "D[1/2] v1 (+) !v2", "C[1/3] <-> (v1 /\\ v2)", "N[2/3] v1 (-) v2 \\/ v1 (.) v2")
+FUZZ_POINTS = ("", "1/2", "1/2,1/3", "2", "-1", "x", "1/0", "0.5,", ",", "1,1,1")
+FUZZ_OPTIONS = ("-1", "x", "1.5", "", "0", "3")
+
+
+def _json_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _copy(value):
+    return json.loads(json.dumps(value))
+
+
+def _broken_json(rng, kind):
+    """The text of a document of ``kind`` with one to three random faults."""
+    doc = _copy(rng.choice(FUZZ_DOCUMENTS[kind]))
+    for _ in range(rng.randint(1, 3)):
+        paths = list(_json_paths(doc))[1:]
+        if not paths:  # every key deleted
+            break
+        *parent, key = rng.choice(paths)
+        node = doc
+        for step in parent:
+            node = node[step]
+        move = rng.random()
+        if move < 0.15:
+            del node[key]  # a missing key, or an array one shorter (maybe empty)
+        elif move < 0.25 and isinstance(node, list):
+            node.append(_copy(node[key]))  # an array one longer
+        else:
+            node[key] = _copy(rng.choice(FUZZ_VALUES))
+    text = json.dumps(doc)
+    wrap = rng.random()
+    if wrap < 0.1:
+        return json.dumps(text)  # a top-level string holding the document
+    if wrap < 0.2:
+        return json.dumps([doc])
+    if wrap < 0.3:
+        return text[: rng.randrange(len(text))]
+    return text
+
+
+def _broken_formula(rng):
+    """One of ``FUZZ_FORMULAS`` with up to two characters inserted or replaced."""
+    text = rng.choice(FUZZ_FORMULAS)
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice("()[]!v0123/.-+<>\\ ") + text[i + 1 if rng.random() < 0.5 else i:]
+    return text
+
+
+def _fuzz_calls(rng, file):
+    """One call of every subcommand with malformed input, in a random order."""
+    calls = [
+        ("eval", _broken_formula(rng), "--at", rng.choice(FUZZ_POINTS)),
+        ("components", _broken_formula(rng), "--arity", rng.choice(FUZZ_OPTIONS)),
+        ("equiv", _broken_formula(rng), _broken_formula(rng)),
+        ("span", file(_broken_json(rng, "book")), rng.choice(("1", "x", "1/0")), rng.choice(("-1/2", "", "2"))),
+    ]
+    for _ in range(2):
+        calls.append(("synth", file(_broken_json(rng, "pwl"))))
+        calls.append(("coherent", file(_broken_json(rng, "book"))))
+        good_book = file(json.dumps(rng.choice(FUZZ_DOCUMENTS["book"])))
+        calls.append(("coherent", good_book, "--verify", file(_broken_json(rng, "cert"))))
+    calls += [(name, _broken_formula(rng)) for name in ("min", "max", "valid", "invalid", "norm")]
+    rng.shuffle(calls)
+    for argv in calls:
+        yield ("--budget", rng.choice(FUZZ_OPTIONS)) + argv if rng.random() < 0.2 else argv
+
+
+def test_seeded_malformed_input_keeps_the_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(21)
+    files = []
+
+    def file(text):
+        files.append(tmp_path / f"input{len(files)}.json")
+        files[-1].write_text(text)
+        return str(files[-1])
+
+    codes = []
+    for _ in range(30):
+        for argv in _fuzz_calls(rng, file):
+            try:
+                code, out, err = run(capsys, *argv)
+            except Exception as exc:  # any escape fails the contract; name the call
+                pytest.fail(f"{argv} raised {exc!r}")
+            assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_BUDGET, EXIT_USAGE), argv
+            if code in (EXIT_DOMAIN, EXIT_BUDGET) and out != "NOT verified\n":
+                assert len(err.strip().splitlines()) == 1, (argv, err)  # a one-line message
+            codes.append(code)
+    assert len(codes) == 450 and {EXIT_OK, EXIT_DOMAIN, EXIT_USAGE} <= set(codes)

@@ -259,6 +259,17 @@ def test_witness_validation():
         DutchBook((F(1),), F(0))
 
 
+def test_a_support_point_lies_in_the_unit_box():
+    # verify_certificate once raised out of evaluate on such a point
+    for point in ((F(1), F(1), F(2)), (F(-1, 2),), (F(1, 2), F(3, 2))):
+        with pytest.raises(ValueError, match=r"^support coordinates must lie in \[0, 1\]$"):
+            StateWitness(((point, F(1)),))
+    data = {"kind": "coherent", "support": [{"point": ["1", "1", "2"], "weight": "1"}]}
+    with pytest.raises(ValueError, match="^support coordinates"):
+        certificate_from_json(data)
+    assert StateWitness((((F(0), F(1)), F(1)),)).support == (((F(0), F(1)), F(1)),)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -283,6 +294,9 @@ def test_book_json_round_trip():
     assert again == book
     with pytest.raises(ValueError):
         book_from_json({"events": [{"formula": "v1"}]})
+    # JSON text is decoded once: a string holding JSON text is no book
+    with pytest.raises(ValueError, match="^malformed book JSON"):
+        book_from_json(json.dumps(json.dumps(data)))
 
 
 def test_certificate_json_round_trip():
@@ -293,6 +307,8 @@ def test_certificate_json_round_trip():
     again = certificate_from_json(json.dumps(data))
     assert again == result
     assert verify_certificate(book, again)
+    with pytest.raises(ValueError, match="^malformed certificate JSON"):
+        certificate_from_json(json.dumps(json.dumps(data)))
 
     ok = check_coherent(_book(("v1", "1/2"), ("!v1", "1/2")))
     data = certificate_to_json(ok)

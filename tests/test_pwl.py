@@ -77,6 +77,17 @@ def test_affine_eval_examples():
     assert affine_eval(Affine(2, (F(1), F(-1), F(1))), (F(3, 10), F(1, 10))) == F(4, 5)
 
 
+def test_affine_eval_reads_points_as_maxmin_eval_does():
+    # a float coordinate once gave the float 1.3 here
+    with pytest.raises(TypeError, match="is not exact"):
+        affine_eval(Affine(1, (F(1), F(1))), (0.3,))
+    with pytest.raises(TypeError, match="is not exact"):
+        affine_eval(Affine(2, (F(1), F(1), F(1))), (F(1), 0.5))
+    with pytest.raises(ValueError, match="point of length 1"):
+        affine_eval(Affine(2, (F(1), F(1), F(1))), (F(1),))
+    assert affine_eval(Affine(0, (F(2, 3),)), ()) == F(2, 3)
+
+
 def test_maxmin_eval_examples():
     f = _mm(1, (X,), (ONE_MINUS_X,))
     assert maxmin_eval(f, (F(1, 2),)) == F(1, 2)
@@ -351,6 +362,10 @@ def test_json_round_trip():
     assert data == {"n": 2, "groups": [[["0", "0", "1"]]]}
     with pytest.raises(ValueError):
         maxmin_from_json({"n": 1})
+    # JSON text is decoded once, so a string holding JSON text is no function
+    assert maxmin_from_json(json.dumps(data)) == projection(2, 2)
+    with pytest.raises(ValueError, match="malformed piecewise-linear JSON"):
+        maxmin_from_json(json.dumps(json.dumps(data)))
 
 
 def test_inexact_numbers_are_rejected():
@@ -375,6 +390,18 @@ def test_json_arity_must_be_an_integer():
         with pytest.raises(ValueError, match="malformed piecewise-linear JSON"):
             maxmin_from_json({"n": n, "groups": [[["0", "1"]]]})
     assert maxmin_from_json({"n": 1, "groups": [[["0", "1"]]]}) == projection(1, 1)
+
+
+def test_affine_dimension_is_a_nonnegative_integer():
+    # n = -1 with no coefficients once passed the length check
+    for n in (-1, -2, True, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"^n must be a nonnegative integer, got {n!r}$"):
+            Affine(n, (F(0),) * 2)
+    with pytest.raises(ValueError, match="^n must be a nonnegative integer, got -1$"):
+        Affine(-1, ())
+    with pytest.raises(ValueError, match="^malformed piecewise-linear JSON: n must be a nonnegative integer, got -1$"):
+        maxmin_from_json({"n": -1, "groups": [[[]]]})
+    assert Affine(0, (F(1),)).coeffs == (F(1),)
 
 
 def test_equal_functions_have_equal_rows_however_built():
