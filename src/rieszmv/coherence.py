@@ -17,28 +17,26 @@ machine-checkable certificates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .formula import Formula, Ominus, Oplus, Nabla, RConst, arity, evaluate, format_formula, parse
+from .formula import Formula, Ominus, Oplus, Nabla, ParseError, RConst, arity, evaluate, format_formula, parse
 from .geometry import vertices_from_components
-from .kernel import ONE, UnitRational, ZERO
+from .kernel import ONE, Record, UnitRational, ZERO
 from .lp import INFEASIBLE, solve_lp
 from .pwl import MaxMin, _exact, _json_array, _json_number, _json_value, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
 from .synthesis import synth_pwl
 
 
-@dataclass(frozen=True)
-class Book:
+class Book(Record):
     """Events with betting odds: ((formula, odd), ...), odds in [0, 1]."""
 
-    events: tuple
+    __match_args__ = ("events",)
 
-    def __post_init__(self):
-        events = tuple((phi, UnitRational(r)) for phi, r in self.events)
+    def __init__(self, events):
+        events = tuple((phi, UnitRational(r)) for phi, r in events)
         if not events:
             raise ValueError("a book needs at least one event")
-        object.__setattr__(self, "events", events)
+        self.__dict__["events"] = events
 
     @property
     def k(self):
@@ -50,14 +48,13 @@ class Book:
         return max(1, max(arity(phi) for phi, _ in self.events))
 
 
-@dataclass(frozen=True)
-class StateWitness:
+class StateWitness(Record):
     """Convex combination of evaluations: ((point, weight), ...)."""
 
-    support: tuple
+    __match_args__ = ("support",)
 
-    def __post_init__(self):
-        support = tuple((tuple(map(_exact, point)), _exact(w)) for point, w in self.support)
+    def __init__(self, support):
+        support = tuple((tuple(map(_exact, point)), _exact(w)) for point, w in support)
         if not support:
             raise ValueError("empty support")
         if any(w <= 0 for _, w in support):
@@ -66,31 +63,34 @@ class StateWitness:
             raise ValueError("support coordinates must lie in [0, 1]")
         if sum(w for _, w in support) != 1:
             raise ValueError("support weights must sum to 1")
-        object.__setattr__(self, "support", support)
+        self.__dict__["support"] = support
 
 
-@dataclass(frozen=True)
-class DutchBook:
+class DutchBook(Record):
     """Stakes guaranteeing the bookmaker loses at least ``margin``."""
 
-    stakes: tuple
-    margin: Fraction
+    __match_args__ = ("stakes", "margin")
 
-    def __post_init__(self):
-        object.__setattr__(self, "stakes", tuple(map(_exact, self.stakes)))
-        object.__setattr__(self, "margin", _exact(self.margin))
-        if self.margin <= 0:
+    def __init__(self, stakes, margin):
+        stakes = tuple(map(_exact, stakes))
+        margin = _exact(margin)
+        if margin <= 0:
             raise ValueError("a Dutch book needs a positive margin")
+        self.__dict__.update(stakes=stakes, margin=margin)
 
 
-@dataclass(frozen=True)
-class Coherent:
-    witness: StateWitness
+class Coherent(Record):
+    __match_args__ = ("witness",)
+
+    def __init__(self, witness):
+        self.__dict__["witness"] = witness
 
 
-@dataclass(frozen=True)
-class Incoherent:
-    dutch_book: DutchBook
+class Incoherent(Record):
+    __match_args__ = ("dutch_book",)
+
+    def __init__(self, dutch_book):
+        self.__dict__["dutch_book"] = dutch_book
 
 
 def event_image(book: Book, budget=None):
@@ -118,9 +118,14 @@ def check_coherent(book: Book, budget=None):
     Feasibility of ``sum a_v F(v) = odds, sum a_v = 1, a >= 0`` is decided
     by exact simplex.  A basic feasible solution has at most k+1 positive
     weights; an infeasibility certificate flips into Dutch-book stakes,
-    normalized so the largest absolute stake is 1.
+    normalized so the largest absolute stake is 1.  Vertices that repeat a
+    value vector repeat a column, which Bland's rule never lets enter after
+    the first, so only the first of each is passed to the LP.
     """
-    image = event_image(book, budget)
+    first = {}
+    for point, values in event_image(book, budget):
+        first.setdefault(values, point)
+    image = [(point, values) for values, point in first.items()]
     odds = [r for _, r in book.events]
     rows = [[values[i] for _, values in image] for i in range(book.k)]
     rows.append([ONE] * len(image))
@@ -239,13 +244,14 @@ def signed_difference(phi: Formula, r, c) -> Formula:
 
 def book_from_json(data) -> Book:
     """Book file format: {"events": [{"formula": str, "odd": "p/q"}, ...]}."""
-    data = _json_value(data)
     try:
         events = tuple(
             (parse(entry["formula"]), _json_number(entry["odd"]))
-            for entry in _json_array(data["events"])
+            for entry in _json_array(_json_value(data)["events"])
         )
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed book JSON: {exc}") from exc
     return Book(events)
 
@@ -277,20 +283,23 @@ def certificate_to_json(result) -> dict:
 
 
 def certificate_from_json(data):
-    data = _json_value(data)
     try:
-        if data["kind"] == "coherent":
+        data = _json_value(data)
+        kind = data["kind"]
+        if kind == "coherent":
             support = tuple(
                 (tuple(map(_json_number, _json_array(entry["point"]))), _json_number(entry["weight"]))
                 for entry in _json_array(data["support"])
             )
-            return Coherent(StateWitness(support))
-        if data["kind"] == "incoherent":
-            return Incoherent(
-                DutchBook(
-                    tuple(map(_json_number, _json_array(data["stakes"]))), _json_number(data["margin"])
-                )
-            )
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        elif kind == "incoherent":
+            stakes = tuple(map(_json_number, _json_array(data["stakes"])))
+            margin = _json_number(data["margin"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc
-    raise ValueError(f"unknown certificate kind: {data.get('kind')!r}")
+    # built outside the try: a certificate that breaks its own rules (weights,
+    # margin) is reported in their words, not as malformed JSON
+    if kind == "coherent":
+        return Coherent(StateWitness(support))
+    if kind == "incoherent":
+        return Incoherent(DutchBook(stakes, margin))
+    raise ValueError(f"unknown certificate kind: {kind!r}")

@@ -17,6 +17,10 @@ depth; only the parser recurses.  :func:`parse` takes its tokens from one
 regex scan and interns each node into the program as it builds it, through
 the helper :func:`program` uses, so a parsed formula is never walked again.
 
+Nodes are immutable :class:`~rieszmv.kernel.Record` values: each node class
+names its fields, in order, in ``__match_args__``; ``repr()`` prints them,
+and ``==`` compares them between nodes of one class.
+
 Concrete grammar (precedence low to high, ``->`` right-associative)::
 
     formula := iff
@@ -41,12 +45,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import bounded
 # The k_* names are not called here: perfbench/tracing.py patches them by name.
-from .kernel import UnitRational, implies as k_implies, join as k_join, meet as k_meet, neg as k_neg, odot as k_odot, oplus as k_oplus  # noqa: F401
+from .kernel import Record, UnitRational, implies as k_implies, join as k_join, meet as k_meet, neg as k_neg, odot as k_odot, oplus as k_oplus  # noqa: F401
 
 
 class ParseError(ValueError):
@@ -57,18 +60,19 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Formula:
+class Formula(Record):
     """Base class for formula nodes.  Instances are immutable.
 
-    ``==`` is structural, as a dataclass would generate it over the node's
-    fields (its ``__match_args__``), and ``hash()`` agrees with it; both
+    Each node class names its fields in ``__match_args__``, as every
+    :class:`~rieszmv.kernel.Record` does.  ``==`` is structural over those
+    fields, between nodes of one class, and ``hash()`` agrees with it; both
     read :func:`program`, so formulas of any depth compare and hash.
-    ``repr()`` is the dataclass one and keeps an explicit stack.
+    ``repr()`` prints ``Class(field=value, ...)`` in field order and keeps
+    an explicit stack.
     """
 
-    # node list built by the first program() call; not part of equality
-    _program: tuple = field(default=None, init=False, repr=False, compare=False)
+    # node list built by the first program() call; not a field
+    _program = None
 
     def __str__(self):
         return format_formula(self)
@@ -80,7 +84,7 @@ class Formula:
 
     def __hash__(self):
         # payloads and child positions only, so Odot and Oplus over the same
-        # operands hash alike, as the dataclass-generated hash had it
+        # operands hash alike
         return hash(tuple(entry[1:4] for entry in program(self)))
 
     def __repr__(self):
@@ -101,99 +105,94 @@ class Formula:
         return "".join(out)
 
 
-_node = dataclass(frozen=True, eq=False, repr=False)
+# One __init__ per node shape, each writing the instance dict directly: the
+# parser, expand and nnf build one node per step, so construction stays cheap.
 
 
-@_node
 class Var(Formula):
-    index: int
+    __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ValueError(f"variable index must be a positive integer, got {self.index!r}")
+    def __init__(self, index):
+        if not isinstance(index, int) or index < 1:
+            raise ValueError(f"variable index must be a positive integer, got {index!r}")
+        self.__dict__["index"] = index
 
 
-@_node
 class Neg(Formula):
-    child: Formula
+    __match_args__ = ("child",)
+
+    def __init__(self, child):
+        self.__dict__["child"] = child
 
 
-@_node
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """Base of the binary connectives."""
+
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
 
 
-@_node
+class Implies(_Binary):
+    pass
+
+
 class _Scaled(Formula):
     """Base of the nodes whose scalar ``r`` must lie in [0, 1]."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", UnitRational(self.r))
+    __match_args__ = ("r", "child")
+
+    def __init__(self, r, child):
+        d = self.__dict__
+        d["r"] = UnitRational(r)
+        d["child"] = child
 
 
-@_node
 class Nabla(_Scaled):
     """Scalar connective with value 1 - r + r*x."""
 
-    r: Fraction
-    child: Formula
 
-
-@_node
 class Delta(_Scaled):
     """Scalar connective with value r*x; definable as ``!N[r]!``."""
 
-    r: Fraction
-    child: Formula
 
-
-@_node
 class RConst(_Scaled):
     """Constant formula with value r; definable as ``D[r](v1 -> v1)``.
 
     Stored as a primitive so that a bare constant has arity 0.
     """
 
-    r: Fraction
+    __match_args__ = ("r",)
+
+    def __init__(self, r):
+        self.__dict__["r"] = UnitRational(r)
 
 
-@_node
-class Oplus(Formula):
-    left: Formula
-    right: Formula
+class Oplus(_Binary):
+    pass
 
 
-@_node
-class Odot(Formula):
-    left: Formula
-    right: Formula
+class Odot(_Binary):
+    pass
 
 
-@_node
-class Join(Formula):
-    left: Formula
-    right: Formula
+class Join(_Binary):
+    pass
 
 
-@_node
-class Meet(Formula):
-    left: Formula
-    right: Formula
+class Meet(_Binary):
+    pass
 
 
-@_node
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Iff(_Binary):
+    pass
 
 
-@_node
-class Ominus(Formula):
+class Ominus(_Binary):
     """Truncated difference, sugar for ``left (.) !right``."""
-
-    left: Formula
-    right: Formula
 
 
 # Binary connectives: (symbol, precedence, least precedence printed bare on

@@ -3,7 +3,7 @@
 The standard MV-algebra operations on [0, 1] together with scalar
 multiplication, which make the rational unit interval a Riesz MV-algebra.
 Everything is computed with :class:`fractions.Fraction`; no rounding ever
-occurs.
+occurs.  :class:`Record` is the base of the package's immutable values.
 """
 
 from __future__ import annotations
@@ -14,6 +14,40 @@ from .errors import bounded
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields, in order, in ``__match_args__``, and its
+    ``__init__`` writes them into the instance dict; after that, assigning
+    or deleting an attribute raises ``AttributeError``.  ``==`` (between
+    instances of one class), ``hash()`` and ``repr()`` read the fields in
+    that order; a subclass whose equality skips a field overrides ``_key``.
+    """
+
+    __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class UnitRational(Fraction):

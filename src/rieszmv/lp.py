@@ -13,24 +13,24 @@ multipliers as a Farkas certificate: y with y*A <= 0 componentwise, y*b > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .kernel import ZERO
+from .kernel import Record, ZERO
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class SimplexResult:
-    status: str
-    x: tuple | None = None
-    objective: Fraction | None = None
-    farkas: tuple | None = None
-    # pivots taken, phase 1 included; not part of equality
-    pivots: int = field(default=0, compare=False)
+class SimplexResult(Record):
+    __match_args__ = ("status", "x", "objective", "farkas", "pivots")
+
+    def __init__(self, status, x=None, objective=None, farkas=None, pivots=0):
+        self.__dict__.update(status=status, x=x, objective=objective, farkas=farkas, pivots=pivots)
+
+    def _key(self):
+        # pivots (taken, phase 1 included) is no part of equality
+        return (self.status, self.x, self.objective, self.farkas)
 
 
 def _pivot(tableau, basis, row, col, d):

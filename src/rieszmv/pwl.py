@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
 from .errors import BudgetExceededError
 from .formula import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Oplus, RConst, Var, program
+from .kernel import Record
 
 DEFAULT_PIECE_CAP = 100_000
 # box corners prune may tabulate; stays put when the piece cap is lowered
@@ -63,24 +63,23 @@ def _json_array(x):
     return x
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(Record):
     """c0 + c1*x1 + ... + cn*xn with exact rational coefficients."""
 
-    n: int
-    coeffs: tuple
+    __match_args__ = ("n", "coeffs")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:  # bool is an int subclass
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
-        coeffs = tuple(map(_exact, self.coeffs))
-        if len(coeffs) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, n, coeffs):
+        if type(n) is not int or n < 0:  # bool is an int subclass
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        coeffs = tuple(map(_exact, coeffs))
+        if len(coeffs) != n + 1:
+            raise ValueError(f"expected {n + 1} coefficients, got {len(coeffs)}")
+        d = self.__dict__
+        d["n"] = n
+        d["coeffs"] = coeffs
 
 
-@dataclass(frozen=True, init=False)
-class MaxMin:
+class MaxMin(Record):
     """Max over groups of min over each group's affine members.
 
     ``MaxMin(n, groups)`` takes groups of :class:`Affine` pieces and puts
@@ -89,9 +88,7 @@ class MaxMin:
     computation is order-independent.
     """
 
-    n: int
-    den: int
-    rows: tuple
+    __match_args__ = ("n", "den", "rows")
 
     def __init__(self, n, groups):
         groups = tuple(groups)
@@ -467,8 +464,8 @@ def maxmin_to_json(f: MaxMin) -> dict:
 
 
 def maxmin_from_json(data) -> MaxMin:
-    data = _json_value(data)
     try:
+        data = _json_value(data)
         n = data["n"]
         groups = tuple(
             tuple(Affine(n, tuple(map(_json_number, _json_array(piece)))) for piece in _json_array(group))

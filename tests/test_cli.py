@@ -619,6 +619,47 @@ def test_a_file_holds_one_json_value_decoded_once(tmp_path, capsys):
     )
 
 
+
+SYNTAX = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+NOT_A_FRACTION = "Invalid literal for Fraction: 'x'"
+SUPPORT = '{"kind": "coherent", "support": [{"point": ["1/2"], "weight": "%s"}]}'
+STAKES = '{"kind": "incoherent", "stakes": ["1", "1"], "margin": "%s"}'
+ODD = '{"events": [{"formula": "%s", "odd": "%s"}]}'
+
+
+@pytest.mark.parametrize(
+    "command, book, text, message",
+    [
+        ("synth", None, "{", f"malformed piecewise-linear JSON: {SYNTAX}"),
+        ("synth", None, '{"n": 1, "groups": [[["x", "1"]]]}', f"malformed piecewise-linear JSON: {NOT_A_FRACTION}"),
+        ("coherent", None, "{", f"malformed book JSON: {SYNTAX}"),
+        ("coherent", None, ODD % ("v1", "x"), f"malformed book JSON: {NOT_A_FRACTION}"),
+        ("span", None, "{", f"malformed book JSON: {SYNTAX}"),
+        ("verify", BOOK_INCOHERENT, "{", f"malformed certificate JSON: {SYNTAX}"),
+        ("verify", BOOK_INCOHERENT, STAKES % "x", f"malformed certificate JSON: {NOT_A_FRACTION}"),
+        ("verify", BOOK_COHERENT, SUPPORT % "x", f"malformed certificate JSON: {NOT_A_FRACTION}"),
+        # formula, odd-range and certificate rules keep their own messages
+        ("coherent", None, ODD % ("v1 ->", "1/2"), "expected a formula, found 'end of input' (at position 5)"),
+        ("coherent", None, ODD % ("v1", "3/2"), "3/2 is outside [0, 1]"),
+        ("verify", BOOK_COHERENT, SUPPORT % "1/2", "support weights must sum to 1"),
+        ("verify", BOOK_INCOHERENT, STAKES % "0", "a Dutch book needs a positive margin"),
+    ],
+    ids=[
+        "pwl-syntax", "pwl-rational", "book-syntax", "book-rational", "span-syntax", "certificate-syntax",
+        "margin-rational", "weight-rational", "formula", "odd-range", "weights", "margin",
+    ],
+)
+def test_a_json_error_names_the_file_format(tmp_path, capsys, command, book, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "verify":
+        book_path = tmp_path / "book.json"
+        book_path.write_text(json.dumps(book))
+        argv = ("coherent", str(book_path), "--verify", str(path))
+    else:
+        argv = (command, str(path)) + (("1",) if command == "span" else ())
+    assert run(capsys, *argv) == (EXIT_DOMAIN, "", f"error: {message}\n")
+
 # valid documents the seeded fuzz test below breaks, by file kind
 FUZZ_DOCUMENTS = {
     "pwl": (

@@ -32,6 +32,7 @@ from rieszmv import (
     verify_certificate,
 )
 from rieszmv import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Ominus, Oplus, RConst, Var, coherence
+from rieszmv.lp import solve_lp
 
 from helpers import clamp, rand_formula, rand_point, rand_signed, rand_unit
 from helpers import pooled_event_image
@@ -425,3 +426,32 @@ def test_a_book_past_the_budget_only_when_pooled_is_decided():
         result = check_coherent(book, budget=4)
         assert isinstance(result, verdict)
         assert verify_certificate(book, result, budget=4)
+
+
+def test_the_lp_gets_one_column_per_distinct_value_vector(monkeypatch):
+    # v1 \/ v2 and v1 (.) v2 take the values (1, 0) at both (0, 1) and (1, 0):
+    # five image vertices, four distinct value vectors
+    columns = []
+
+    def spy(rows, rhs, costs):
+        columns.append([tuple(row[j] for row in rows[:-1]) for j in range(len(costs))])
+        return solve_lp(rows, rhs, costs)
+
+    monkeypatch.setattr(coherence, "solve_lp", spy)
+    pinned = {  # the certificates from before the repeated columns were dropped
+        "1/5": {"kind": "coherent", "support": [
+            {"point": ["0", "0"], "weight": "1/2"},
+            {"point": ["0", "1"], "weight": "3/10"},
+            {"point": ["1", "1"], "weight": "1/5"},
+        ]},
+        "3/5": {"kind": "incoherent", "stakes": ["1", "-1"], "margin": "1/10"},
+    }
+    for odd, certificate in pinned.items():
+        book = _book(("v1 \\/ v2", "1/2"), ("v1 (.) v2", odd))
+        image = event_image(book)
+        assert len(image) == 5
+        first = list(dict.fromkeys(values for _, values in image))
+        result = check_coherent(book)
+        assert columns.pop() == first and len(first) == 4
+        assert certificate_to_json(result) == certificate
+        assert verify_certificate(book, result)
