@@ -96,5 +96,6 @@ from .coherence import (
     verify_certificate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = [name for name in dir() if not name.startswith("_") and type(globals()[name]) is not type(kernel)]
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import coherence, geometry, synthesis
@@ -170,7 +171,8 @@ def build_parser():
         default=None,
         help="cap on the simplex pivots of one extremum (min, max, valid, invalid, norm, equiv, "
         "synth, span) or on vertex-enumeration subsets (coherent, and a synth or span minimum "
-        "whose reflection outgrows the piece cap); also via RIESZ_BUDGET",
+        f"whose reflection outgrows the piece cap); without it RIESZ_BUDGET, else {geometry.DEFAULT_BUDGET}. "
+        "A bad RIESZ_BUDGET is a domain error, checked before any subcommand runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -232,7 +234,15 @@ def main(argv=None) -> int:
                 parser.error(f"argument --{name}: must be a nonnegative integer, got {value}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    env = os.environ.get("RIESZ_BUDGET")
     try:
+        if args.budget is None and env:  # else the library's DEFAULT_BUDGET
+            try:
+                args.budget = int(env)
+            except ValueError:
+                args.budget = -1
+            if args.budget < 0:
+                raise ValueError(f"RIESZ_BUDGET must be a nonnegative integer, got {env!r}")
         return args.run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

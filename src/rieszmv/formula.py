@@ -87,23 +87,6 @@ class Formula(Record):
         # operands hash alike
         return hash(tuple(entry[1:4] for entry in program(self)))
 
-    def __repr__(self):
-        out = []
-        stack = [self]  # nodes, and literal text as str
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, Formula):
-                out.append(item)
-                continue
-            out.append(f"{type(item).__qualname__}(")
-            parts = []
-            for k, name in enumerate(item.__match_args__):
-                value = getattr(item, name)
-                parts += (f"{', ' if k else ''}{name}=", value if isinstance(value, Formula) else repr(value))
-            parts.append(")")
-            stack += reversed(parts)
-        return "".join(out)
-
 
 # One __init__ per node shape, each writing the instance dict directly: the
 # parser, expand and nnf build one node per step, so construction stays cheap.

@@ -10,7 +10,9 @@ side of [0, 1] they leave open, and f(0) = L is the minimum, else -max(-f)
 normal form, whose term function reflects only projections.  The witness is
 the lexicographically least extremal point, from successive LPs: an
 arrangement vertex, so the first sorted vertex a scan would report.
-``--budget`` caps the simplex pivots of one maximum and its witness.
+The ``budget`` argument, else :data:`DEFAULT_BUDGET`, caps the simplex pivots
+of one maximum and its witness; the CLI resolves its own budget setting
+(README, Notes on budgets).
 
 Every vertex of the arrangement of the box facets and the pairwise piece
 differences within each family (one family per event) is needed by the event
@@ -27,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from fractions import Fraction
 
 from .errors import BudgetExceededError, RangeViolationError
@@ -36,24 +37,7 @@ from .kernel import ONE, ZERO
 from .lp import solve_lp
 from .pwl import MaxMin, components, maxmin_eval, mm_negate, term_pwl
 
-DEFAULT_VERTEX_BUDGET = 2_000_000
-
-
-def effective_budget(budget=None):
-    """Resolve the budget (simplex pivots, or the vertex subsets of a scan):
-    explicit value, RIESZ_BUDGET, or default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("RIESZ_BUDGET")
-    if not env:
-        return DEFAULT_VERTEX_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ValueError(f"RIESZ_BUDGET must be a nonnegative integer, got {env!r}")
-    return budget
+DEFAULT_BUDGET = 2_000_000  # simplex pivots, or the vertex subsets of a scan
 
 
 def _differences(affines):
@@ -104,7 +88,7 @@ def vertices_from_components(n, *families, budget=None):
     """
     if n < 1:
         raise ValueError("vertex enumeration needs dimension >= 1")
-    budget = effective_budget(budget)
+    budget = DEFAULT_BUDGET if budget is None else budget
     differences = set().union(*map(_differences, families))
     # count the hyperplanes first: the 2n facet rows alone hold O(n^2) entries
     count = len(differences) + 2 * n - sum(map(_is_facet, differences))
@@ -215,7 +199,7 @@ def _box_max(f: MaxMin, budget):
     Every LP counts its simplex pivots against one budget.
     """
     n = f.n
-    budget = effective_budget(budget)
+    budget = DEFAULT_BUDGET if budget is None else budget
     spent = 0
 
     def solve(a_rows, b, c, stage):

@@ -46,8 +46,21 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        # an explicit stack, so that a deep formula prints without recursion
+        out = []
+        stack = [self]  # records, and literal text as str
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Record):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for k, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                parts += (f"{', ' if k else ''}{name}=", value if isinstance(value, Record) else repr(value))
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
 
 
 class UnitRational(Fraction):

@@ -35,7 +35,7 @@ from rieszmv import (
     term_pwl,
     vertices_from_components,
 )
-from rieszmv.geometry import effective_budget
+from rieszmv.geometry import DEFAULT_BUDGET
 from rieszmv.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
 from rieszmv.pwl import _COVERAGE_LIMIT, DEFAULT_PIECE_CAP
 
@@ -282,7 +282,7 @@ def brute_vertices(n, affines, budget=None):
     errors, sorted box points of every nonsingular n-subset."""
     if n < 1:
         raise ValueError("vertex enumeration needs dimension >= 1")
-    budget = effective_budget(budget)
+    budget = DEFAULT_BUDGET if budget is None else budget
     eqs = _equations_from_components(n, affines)
     systems = math.comb(len(eqs), n)
     if systems > budget:

@@ -360,6 +360,37 @@ def test_budget_must_be_a_nonnegative_integer(capsys, monkeypatch):
     assert run(capsys, "min", "v1") == (EXIT_OK, "0\n0\n", "")
 
 
+def test_a_bad_riesz_budget_fails_every_subcommand_unless_budget_is_given(tmp_path, capsys, monkeypatch):
+    # inputs that need no LP, so only the CLI's own check can reach the budget
+    book, cert, pwl = (tmp_path / name for name in ("book.json", "cert.json", "pwl.json"))
+    book.write_text(json.dumps(BOOK_COHERENT))
+    pwl.write_text(json.dumps({"n": 1, "groups": [[["0", "1"]]]}))
+    monkeypatch.delenv("RIESZ_BUDGET", raising=False)
+    cert.write_text(run(capsys, "coherent", str(book))[1])
+    calls = [
+        ("eval", "C[1/2]"),
+        ("components", "v1"),
+        ("synth", str(pwl)),
+        ("min", "v1"),
+        ("max", "v1"),
+        ("valid", "C[1]"),
+        ("invalid", "C[1/2]"),
+        ("norm", "C[1/2]"),
+        ("equiv", "C[1]", "C[1]"),
+        ("coherent", str(book)),
+        ("coherent", str(book), "--verify", str(cert)),
+        ("span", str(book), "1", "0"),  # f(0) = 0 is the lower row bound
+    ]
+    expected = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in expected] == [EXIT_OK] * len(calls)
+    for value in ("abc", "-1"):
+        monkeypatch.setenv("RIESZ_BUDGET", value)
+        message = f"error: RIESZ_BUDGET must be a nonnegative integer, got '{value}'\n"
+        for argv, want in zip(calls, expected):
+            assert run(capsys, *argv) == (EXIT_DOMAIN, "", message), argv
+            assert run(capsys, "--budget", "5", *argv) == want, argv
+
+
 def test_arity_must_be_a_nonnegative_integer(capsys):
     for value in ("-1", "-2"):
         code, out, err = run(capsys, "components", "C[1/2]", "--arity", value)

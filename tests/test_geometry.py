@@ -585,3 +585,10 @@ def test_minimum_past_the_piece_cap_of_the_reflection_comes_from_the_vertex_scan
     assert extrema(f) == vertex_extrema(f)
     with pytest.raises(BudgetExceededError, match="^vertex enumeration over"):
         extrema(f, budget=1)
+
+
+def test_the_library_reads_no_budget_from_the_environment(monkeypatch):
+    # RIESZ_BUDGET=3 makes the CLI's min of this formula a budget error
+    # (tests/test_cli.py::test_budget_env_var); the library takes the default
+    monkeypatch.setenv("RIESZ_BUDGET", "3")
+    assert minimum(parse("(v1 (+) v2 (+) v3) <-> (v1 (.) v2 (.) v3)")) == (0, (0, 0, 1))

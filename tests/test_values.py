@@ -185,3 +185,11 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     path, loaded = done.stdout.splitlines()
     assert Path(path).resolve().is_relative_to(SRC) and loaded == "[]", done.stdout
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from rieszmv import *", namespace)
+    del namespace["__builtins__"]
+    modules = [name for name, value in namespace.items() if type(value) is type(sys)]
+    assert modules == [] and "parse" in namespace and "check_coherent" in namespace
