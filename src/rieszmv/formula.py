@@ -10,12 +10,13 @@ by expansion into the primitives.
 
 :func:`program` is the one formula walk: a cached node list in which equal
 subformulas share one entry.  :func:`arity`, :func:`evaluate`, :func:`expand`,
-:func:`nnf` (negation normal form) and ``pwl.term_pwl`` are each one loop over
-it, and ``==`` and ``hash()`` read it.  :func:`format_formula` and ``repr()``
-keep explicit stacks of their own, so formulas built in code may be of any
-depth; only the parser recurses.  :func:`parse` takes its tokens from one
-regex scan and interns each node into the program as it builds it, through
-the helper :func:`program` uses, so a parsed formula is never walked again.
+:func:`nnf` (negation normal form, the tests' oracle for ``pwl.term_pwl``)
+and ``pwl.term_pwl`` (that form's term function, built without its nodes)
+loop over it, and ``==`` and ``hash()`` read it.  :func:`format_formula` and ``repr()`` keep explicit stacks of their
+own, so formulas built in code may be of any depth; only the parser
+recurses.  :func:`parse` takes its tokens from one regex scan and interns
+each node into the program as it builds it, through the helper
+:func:`program` uses, so a parsed formula is never walked again.
 
 Nodes are immutable :class:`~rieszmv.kernel.Record` values: each node class
 names its fields, in order, in ``__match_args__``; ``repr()`` prints them,

@@ -6,10 +6,10 @@ skipped for one-piece groups and for groups whose bound cannot beat the best
 value so far.  The rows bound f by L <= f <= U, the largest over the groups
 of the least piece minimum (maximum) on the box: synthesis solves only for a
 side of [0, 1] they leave open, and f(0) = L is the minimum, else -max(-f)
-(:func:`pwl.mm_negate`).  That of a formula is 1 - max ``!phi`` in negation
-normal form, whose term function reflects only projections.  The witness is
-the lexicographically least extremal point, from successive LPs: an
-arrangement vertex, so the first sorted vertex a scan would report.
+(:func:`pwl.mm_negate`).  That of a formula is 1 - max ``!phi``, whose term
+function ``term_pwl(phi, n, True)`` reads in negation normal form.  The
+witness is the lexicographically least extremal point, from successive LPs:
+an arrangement vertex, so the first sorted vertex a scan would report.
 The ``budget`` argument, else :data:`DEFAULT_BUDGET`, caps the simplex pivots
 of one maximum and its witness; the CLI resolves its own budget setting
 (README, Notes on budgets).
@@ -32,7 +32,7 @@ import operator
 from fractions import Fraction
 
 from .errors import BudgetExceededError, RangeViolationError
-from .formula import Ominus, Oplus, arity, evaluate, nnf
+from .formula import Ominus, Oplus, arity, evaluate
 from .kernel import ONE, ZERO
 from .lp import solve_lp
 from .pwl import MaxMin, components, maxmin_eval, mm_negate, term_pwl
@@ -43,6 +43,8 @@ DEFAULT_BUDGET = 2_000_000  # simplex pivots, or the vertex subsets of a scan
 def _differences(affines):
     # primitive integer rows (c0, ..., cn) of the pairwise differences, first
     # nonzero linear coefficient positive
+    if len(affines) < 2:
+        return set()
     distinct = {a.coeffs for a in affines}
     scale = math.lcm(*[c.denominator for coeffs in distinct for c in coeffs])
     pieces = [[c.numerator * (scale // c.denominator) for c in coeffs] for coeffs in distinct]
@@ -92,7 +94,19 @@ def vertices_from_components(n, *families, budget=None):
     differences = set().union(*map(_differences, families))
     # count the hyperplanes first: the 2n facet rows alone hold O(n^2) entries
     count = len(differences) + 2 * n - sum(map(_is_facet, differences))
-    systems = math.comb(count, n)
+    # C(count, n) from C(count - m + k, k), 16 factors at a time; past the budget
+    # and 100 bits only the power of two errors.bounded prints is needed
+    m = min(n, count - n)
+    lo = hi = 1  # C(count - m + k, k) is in [lo, hi] * 2^shift, exactly lo at shift 0
+    shift = 0
+    for k in range(1, m + 1, 16):
+        top = min(k + 16, m + 1)
+        a, b = math.prod(range(count - m + k, count - m + top)), math.prod(range(k, top))
+        lo, hi = lo * a // b, -(-hi * a // b)
+        if shift or lo > budget and lo.bit_length() > 100:
+            extra = max(0, hi.bit_length() - 64)
+            lo, hi, shift = lo >> extra, (hi >> extra) + 1, shift + extra
+    systems = 1 << (lo.bit_length() - 1 + shift) if shift else lo
     if systems > budget:
         raise BudgetExceededError(f"vertex enumeration over {count} hyperplanes in dimension {n}", systems, budget)
     rows = _hyperplanes(n, differences)
@@ -310,7 +324,7 @@ def _term_max(phi, budget, negate):
     if n == 0:
         value = evaluate(phi, ())
         return ONE - value if negate else value, lambda: ()
-    return _box_max(term_pwl(nnf(phi)[negate], n), budget)
+    return _box_max(term_pwl(phi, n, negate), budget)
 
 
 def minimum(phi, budget=None):

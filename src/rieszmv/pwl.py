@@ -11,8 +11,10 @@ scaling, the reflection ``c - f``, lattice join/meet and the unit truncation
 each binary operation and a hard cap on piece counts.  :class:`Affine` pieces
 are built only for ``MaxMin.groups``, :func:`components` and JSON.
 
-Term functions of formulas of any depth are extracted by :func:`term_pwl`,
-one loop over :func:`rieszmv.formula.program`; it agrees with
+:func:`term_pwl` extracts the term function of a formula of any depth, or
+of its negation, in negation normal form read from the formula's program
+(:func:`rieszmv.formula.program`): only variables are reflected, and each
+truncated sum is canonicalized and pruned once.  It agrees with
 :func:`rieszmv.formula.evaluate` at every rational point, exactly.
 """
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import BudgetExceededError
-from .formula import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Oplus, RConst, Var, program
+from .formula import Iff, Implies, Join, Meet, Nabla, Neg, Odot, Ominus, Oplus, RConst, Var, program
 from .kernel import Record
 
 DEFAULT_PIECE_CAP = 100_000
@@ -278,13 +280,24 @@ def mm_meet(f: MaxMin, g: MaxMin) -> MaxMin:
 
 def trunc(f: MaxMin) -> MaxMin:
     """Unit truncation ``(f v 0) ^ 1``, clamping values into [0, 1]."""
+    return _trunc_sum(f, constant(f.n, 0))
+
+
+def _trunc_sum(f: MaxMin, g: MaxMin, shift=0) -> MaxMin:
+    """``trunc(f + g + shift)``, ``shift`` an integer: :func:`mm_add`'s sums,
+    a group {0}, 1 in every group, canonical and pruned once; the cap checks
+    are those of ``trunc(mm_add(f, g))``."""
+    den, frows, grows = _common(f, g)
+    _check_cap(f.piece_count * g.piece_count, "pointwise sum")
+    if shift:
+        shift *= den
+        grows = [[(row[0] + shift,) + row[1:] for row in group] for group in grows]
     zero = (0,) * (f.n + 1)
-    one = (f.den,) + zero[1:]
-    # mm_meet(mm_join(f, 0), 1): one more group {0}, then 1 in every group
-    groups = set(f.rows)
-    groups.add((zero,))
+    groups = {frozenset([tuple(map(add, a, b)) for a in gf for b in gg]) for gf in frows for gg in grows}
+    groups.add(frozenset((zero,)))
     _check_cap(sum(map(len, groups)) + len(groups), "pointwise min")
-    return prune(_maxmin(f.n, f.den, [g + (one,) for g in groups]))
+    one = {(den,) + zero[1:]}
+    return prune(_maxmin(f.n, den, [group | one for group in groups]))
 
 
 def prune(f: MaxMin) -> MaxMin:
@@ -376,54 +389,71 @@ def prune(f: MaxMin) -> MaxMin:
     return _maxmin(n, f.den, final)
 
 
-def term_pwl(phi, n: int) -> MaxMin:
-    """The term function of ``phi`` on [0, 1]^n as a Max-Min object.
+# Truncated sums: each operand's polarity (1 negated) and the shift, as they
+# are; negated, all three flip (!(a (+) b) = !a (.) !b, !(a -> b) = a (.) !b).
+_SUMS = {Oplus: (0, 0, 0), Odot: (0, 0, -1), Implies: (1, 0, 0), Ominus: (0, 1, -1)}
+# each polarity's lattice operation; a <-> b is (a -> b) /\ (b -> a)
+_LATTICE = {Join: (mm_join, mm_meet), Meet: (mm_meet, mm_join), Iff: (mm_meet, mm_join)}
+_POLARITIES = ((), (0,), (1,), (0, 1))  # those each value of the need bits asks for
 
-    One pass over :func:`rieszmv.formula.program`: variables become
-    projections, negation reflects, implication is the truncation of
-    ``1 - f + g``, the scalar connectives are affine reshapings, and the
-    derived connectives follow their defining expansions.  Agrees with
-    formula evaluation at every point.
+
+def term_pwl(phi, n: int, negate=False) -> MaxMin:
+    """The term function of ``phi``, or of ``!phi`` when ``negate``, on
+    [0, 1]^n as a Max-Min object: row for row that of its negation normal
+    form ``nnf(phi)[negate]``, read straight from the program.  A pass from
+    the root marks the polarities each entry is needed in; one pass builds
+    them.  Negation swaps polarities, so only variables are reflected; the
+    scalars trade places with their duals; (+), (.), ->, (-) and each side
+    of <-> are truncated sums.  Agrees with formula evaluation at every point.
     """
-    out = []
-    append = out.append
-    for kind, r, i, j, _ in program(phi):
-        if kind is Var:
-            if r > n:
-                raise ValueError(f"arity mismatch: v{r} in dimension {n}")
-            f = projection(n, r)
-        elif kind is RConst:
-            f = constant(n, r)
-        elif kind is Neg:
-            f = prune(mm_neg_affine(out[i]))
-        elif kind is Implies:
-            f = trunc(mm_add(mm_neg_affine(out[i]), out[j]))
-        elif kind is Nabla:
-            # 1 - r + r*f; r = 0 and r = 1 collapse to a constant / identity
-            if r == 0:
-                f = constant(n, 1)
-            elif r == 1:
-                f = out[i]
-            else:  # a shift and a positive scaling of a pruned function prune nothing
-                f = mm_add(constant(n, 1 - r), mm_scale(r, out[i]))
-        elif kind is Delta:
-            f = out[i] if r == 1 else mm_scale(r, out[i])
-        elif kind is Oplus:
-            f = trunc(mm_add(out[i], out[j]))
-        elif kind is Odot:
-            f = trunc(mm_add(mm_add(out[i], out[j]), constant(n, -1)))
-        elif kind is Join:
-            f = prune(mm_join(out[i], out[j]))
-        elif kind is Meet:
-            f = prune(mm_meet(out[i], out[j]))
-        elif kind is Iff:
-            fwd = trunc(mm_add(mm_neg_affine(out[i]), out[j]))
-            bwd = trunc(mm_add(mm_neg_affine(out[j]), out[i]))
-            f = prune(mm_meet(fwd, bwd))
-        else:  # Ominus
-            f = trunc(mm_add(out[i], mm_negate(out[j])))
-        append(f)
-    return out[-1]
+    prog = program(phi)
+    need = [0] * len(prog)  # bit 1: the entry itself, bit 2: its negation
+    need[-1] = 2 if negate else 1
+    for k in reversed(range(len(prog))):
+        kind, _, i, j, _ = prog[k]
+        m = 3 if kind is Iff else need[k]
+        flip = m >> 1 | (m & 1) << 1  # the polarities swapped
+        if i is not None:
+            need[i] |= flip if kind is Neg or kind is Implies else m
+        if j is not None:
+            need[j] |= flip if kind is Ominus else m
+    out = ([None] * len(prog), [None] * len(prog))
+
+    def tsum(kind, p, i, j):
+        qi, qj, s = _SUMS[kind]
+        return _trunc_sum(out[qi ^ p][i], out[qj ^ p][j], ~s if p else s)
+
+    for k, (kind, r, i, j, _) in enumerate(prog):
+        if kind is Neg:
+            out[0][k], out[1][k] = out[1][i], out[0][i]
+            continue
+        for p in _POLARITIES[need[k]]:
+            if kind is Var:
+                if r > n:
+                    raise ValueError(f"arity mismatch: v{r} in dimension {n}")
+                row = [0] * (n + 1)
+                row[0], row[r] = p, 1 - 2 * p  # x_r, or 1 - x_r
+                f = _maxmin(n, 1, [[tuple(row)]])
+            elif kind is RConst:
+                f = constant(n, 1 - r if p else r)
+            elif kind in _SUMS:
+                f = tsum(kind, p, i, j)
+            elif kind is Iff:
+                f = prune(_LATTICE[Iff][p](tsum(Implies, p, i, j), tsum(Implies, p, j, i)))
+            elif kind in _LATTICE:
+                f = prune(_LATTICE[kind][p](out[p][i], out[p][j]))
+            elif (kind is Nabla) == (p == 0):  # N[r], or D[r] negated
+                # 1 - r + r*f; r = 0 and r = 1 collapse to a constant / identity
+                if r == 0:
+                    f = constant(n, 1)
+                elif r == 1:
+                    f = out[p][i]
+                else:  # a shift and a positive scaling of a pruned function prune nothing
+                    f = mm_add(constant(n, 1 - r), mm_scale(r, out[p][i]))
+            else:  # r*f
+                f = out[p][i] if r == 1 else mm_scale(r, out[p][i])
+            out[p][k] = f
+    return out[1 if negate else 0][-1]
 
 
 def linear_combination(fs, cs) -> MaxMin:

@@ -507,46 +507,86 @@ def fraction_maxmin(n, f):
     return MaxMin(n, tuple(tuple(Affine(n, a) for a in g) for g in f))
 
 
+def _ftsum(f, g, shift, cap):
+    # trunc(f + g + shift) as term_pwl's truncated sums build it
+    return _ftrunc(_fadd(_fadd(f, g, cap), _fconst(len(f[0][0]) - 1, shift), cap), cap)
+
+
 def fraction_term_pwl(phi, n, cap=None):
-    """Reference for ``term_pwl``: the same steps on the Fraction pipeline,
-    with the same piece-cap errors."""
-    out = []
-    for kind, r, i, j, _ in program(phi):
-        if kind is Var:
-            if r > n:
-                raise ValueError(f"arity mismatch: v{r} in dimension {n}")
-            f = ((tuple(F(k == r) for k in range(n + 1)),),)
-        elif kind is RConst:
-            f = _fconst(n, r)
-        elif kind is Neg:
-            f = fraction_prune(_freflect(out[i], F(1), cap))
-        elif kind is Implies:
-            f = _ftrunc(_fadd(_freflect(out[i], F(1), cap), out[j], cap), cap)
-        elif kind is Nabla:
-            if r == 0:
-                f = _fconst(n, 1)
-            elif r == 1:
-                f = out[i]
+    """Reference for ``term_pwl``: the function of negation normal form, with
+    the same steps in the same order on the Fraction pipeline and the same
+    piece-cap errors.  The polarities each entry needs are found as the
+    formulas ``nnf`` builds would need them."""
+    prog = program(phi)
+    need = [set() for _ in prog]  # polarities: False as it is, True negated
+    need[-1].add(False)
+    for k in reversed(range(len(prog))):
+        kind, _, i, j, _ = prog[k]
+        for p in list(need[k]):
+            if kind is Neg:
+                need[i].add(not p)
+            elif kind is Implies or kind is Ominus:
+                need[i].add(p != (kind is Implies))
+                need[j].add(p != (kind is Ominus))
+            elif kind is Iff:
+                need[i] |= {False, True}
+                need[j] |= {False, True}
+            elif i is not None:
+                need[i].add(p)
+                if j is not None:
+                    need[j].add(p)
+    pos, neg = [None] * len(prog), [None] * len(prog)
+
+    def form(p, k):
+        return neg[k] if p else pos[k]
+
+    def arrow(p, i, j):
+        # i -> j is !i (+) j; negated, i (.) !j
+        return _ftsum(form(not p, i), form(p, j), -1 if p else 0, cap)
+
+    for k, (kind, r, i, j, _) in enumerate(prog):
+        if kind is Neg:
+            pos[k], neg[k] = neg[i], pos[i]
+            continue
+        for p in (False, True):
+            if p not in need[k]:
+                continue
+            if kind is Var:
+                if r > n:
+                    raise ValueError(f"arity mismatch: v{r} in dimension {n}")
+                row = tuple(F(h == r) for h in range(n + 1))
+                f = ((tuple(F(h == 0) - c for h, c in enumerate(row)) if p else row,),)
+            elif kind is RConst:
+                f = _fconst(n, 1 - r if p else r)
+            elif kind is Oplus or kind is Odot:
+                shift = -1 if (kind is Odot) != p else 0
+                f = _ftsum(form(p, i), form(p, j), shift, cap)
+            elif kind is Implies:
+                f = arrow(p, i, j)
+            elif kind is Ominus:  # i (-) j is !(i -> j)
+                f = arrow(not p, i, j)
+            elif kind is Iff:
+                both = (arrow(p, i, j), arrow(p, j, i))
+                f = fraction_prune(_fnorm(both[0] + both[1]) if p else _fmeet(*both, cap))
+            elif kind is Join or kind is Meet:
+                a, b = form(p, i), form(p, j)
+                f = fraction_prune(_fnorm(a + b) if (kind is Join) != p else _fmeet(a, b, cap))
+            elif (kind is Nabla) != p:  # 1 - r + r*a
+                a = form(p, i)
+                if r == 0:
+                    f = _fconst(n, 1)
+                elif r == 1:
+                    f = a
+                else:
+                    f = fraction_prune(_fadd(_fconst(n, 1 - r), _fscale(r, a), cap))
+            else:  # r*a
+                a = form(p, i)
+                f = a if r == 1 else _fscale(r, a)
+            if p:
+                neg[k] = f
             else:
-                f = fraction_prune(_fadd(_fconst(n, 1 - r), _fscale(r, out[i]), cap))
-        elif kind is Delta:
-            f = out[i] if r == 1 else _fscale(r, out[i])
-        elif kind is Oplus:
-            f = _ftrunc(_fadd(out[i], out[j], cap), cap)
-        elif kind is Odot:
-            f = _ftrunc(_fadd(_fadd(out[i], out[j], cap), _fconst(n, -1), cap), cap)
-        elif kind is Join:
-            f = fraction_prune(_fnorm(out[i] + out[j]))
-        elif kind is Meet:
-            f = fraction_prune(_fmeet(out[i], out[j], cap))
-        elif kind is Iff:
-            fwd = _ftrunc(_fadd(_freflect(out[i], F(1), cap), out[j], cap), cap)
-            bwd = _ftrunc(_fadd(_freflect(out[j], F(1), cap), out[i], cap), cap)
-            f = fraction_prune(_fmeet(fwd, bwd, cap))
-        else:  # Ominus
-            f = _ftrunc(_fadd(out[i], _freflect(out[j], F(0), cap), cap), cap)
-        out.append(f)
-    return fraction_maxmin(n, out[-1])
+                pos[k] = f
+    return fraction_maxmin(n, pos[-1])
 
 
 def fraction_linear_combination(fs, cs, cap=None):

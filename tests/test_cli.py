@@ -90,6 +90,24 @@ def test_components(capsys):
     assert out.splitlines() == ["1 -1 0"]
 
 
+def test_components_past_the_piece_cap_of_reflecting_whole_subformulas(capsys):
+    # through negation normal form only variables are reflected; reflecting
+    # each negated subformula needed 264,411 pieces here
+    text = (
+        "!(((D[1] (v2 <-> !C[1/7]) -> D[1/2] (v1 (+) N[3/8] v3)) \\/ (v4 \\/ v4)) "
+        "-> !(D[1] (v1 <-> (D[3/4] v1 (+) v4)) (.) v4))"
+    )
+    code, out, _ = run(capsys, "components", text)
+    assert code == EXIT_OK
+    pieces = [[Fraction(c) for c in line.split()] for line in out.splitlines()]
+    assert len(pieces) == 23
+    phi = parse(text)
+    grid = [Fraction(k, 4) for k in range(5)]
+    for x in ((a, b, c, d) for a in grid for b in grid for c in grid for d in grid):
+        value = evaluate(phi, x)
+        assert any(p[0] + sum(c * xi for c, xi in zip(p[1:], x)) == value for p in pieces), x
+
+
 def test_eval_constant_needs_no_point(capsys):
     code, out, _ = run(capsys, "eval", "C[1/2] (+) C[1/4]")
     assert code == EXIT_OK

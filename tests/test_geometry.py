@@ -43,6 +43,7 @@ from rieszmv import (
     vertices_from_components,
 )
 from rieszmv import geometry
+from rieszmv.errors import bounded
 from rieszmv.geometry import _differences, _hyperplanes, _is_facet
 
 from helpers import (
@@ -163,6 +164,19 @@ def test_hyperplanes_are_counted_before_they_are_built():
             vertices_from_components(n, affines, budget=0)
         assert err.value.size == math.comb(len(_hyperplanes(n, differences)), n), (n, affines)
     assert facets > 10
+
+
+def test_a_vertex_count_past_the_budget_and_100_bits_is_its_power_of_two():
+    # C(2n, n) past the budget and 100 bits is reported as the power of two
+    # that the error prints for it, so the message is the exact count's;
+    # below 100 bits the count is exact
+    for n, budget in ((3000, 10), (60, 10), (40, 10), (70, 2**130)):
+        exact = math.comb(2 * n, n)
+        with pytest.raises(BudgetExceededError) as err:
+            vertices_from_components(n, [Affine(n, (F(1, 2),) + (0,) * n)], budget=budget)
+        big = exact.bit_length() > 100
+        assert err.value.size == (1 << exact.bit_length() - 1 if big else exact), (n, budget)
+        assert str(err.value).endswith(f"required {bounded(exact)}, budget {budget}")
 
 
 def test_vertex_enumeration_matches_the_oracle_on_term_functions():

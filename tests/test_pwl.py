@@ -37,6 +37,7 @@ from rieszmv import (
     mm_neg_affine,
     mm_negate,
     mm_scale,
+    nnf,
     parse,
     projection,
     prune,
@@ -430,8 +431,9 @@ def test_equal_functions_have_equal_rows_however_built():
 
 
 def test_components_and_json_are_pinned():
-    # sha256 of components text and maxmin_to_json of the Fraction pipeline
-    # this one replaced; every 5th formula is a DAG sharing a subformula
+    # sha256 of components text and maxmin_to_json of the term functions
+    # through negation normal form; every 5th formula is a DAG sharing a
+    # subformula
     rng = random.Random(131)
     comps, data = hashlib.sha256(), hashlib.sha256()
     for k in range(3000):
@@ -443,8 +445,41 @@ def test_components_and_json_are_pinned():
         text = "".join(" ".join(map(str, a.coeffs)) + "\n" for a in components(f)) + "\n"
         comps.update(text.encode())
         data.update(json.dumps(maxmin_to_json(f)).encode() + b"\n")
-    assert comps.hexdigest() == "84df057fcc9e9c31abf9425a4dfc0e6dd7af27613bfee19e3be9e291760ce91f"
-    assert data.hexdigest() == "9c35faf279c742a3cf177e4d8d5ba9387df0e8d33f2c1e6f812d856d990c8485"
+    assert comps.hexdigest() == "fba8b4acf045b585431aee2a887beecc58908a9ada1c47c81e79c5d930cdd878"
+    assert data.hexdigest() == "4d32cc1d4b490fb30a1dab87bad11a3335f6924078afc5aacc34478e61b36fcc"
+
+
+def _nnf_cases():
+    # seeded formulas, every 5th a Join(phi, Neg(phi)) DAG, and the deep
+    # chains of test_formula.py
+    rng = random.Random(137)
+    for k in range(2000):
+        n = rng.randint(1, 4)
+        phi = rand_formula(rng, n, rng.randint(0, 4), scalars=bool(k % 2))
+        yield (Join(phi, Neg(phi)) if k % 5 == 0 else phi), n
+    negs = psi = Var(1)
+    for k in range(10**4):
+        negs = Neg(negs)
+        psi = Neg(psi) if k % 3 else Delta(F(1, 2), psi) if k % 2 else Nabla(F(2, 3), psi)
+    chain = Var(2)
+    for k in range(10**3):
+        chain = Oplus(chain, Var(1)) if k % 2 else Meet(Var(1), chain)
+    yield from ((negs, 1), (psi, 1), (chain, 2))
+
+
+def test_term_functions_are_those_of_negation_normal_form(monkeypatch):
+    # both polarities, row for row, and no reflection on either route
+    def reflect(*args):
+        raise AssertionError("term_pwl reflected a function")
+
+    monkeypatch.setattr(pwl, "_reflect", reflect)
+    cases = 0
+    for phi, n in _nnf_cases():
+        for negate in (False, True):
+            f, g = term_pwl(phi, n, negate), term_pwl(nnf(phi)[negate], n)
+            assert (f.n, f.den, f.rows) == (g.n, g.den, g.rows), (phi, negate)
+        cases += 1
+    assert cases == 2003
 
 
 _COPRIME = (7, 11, 13, 17, 19, 23)
@@ -489,8 +524,9 @@ def _outcome(call, *args):
 
 @pytest.mark.parametrize("shape", ["small", "coprime", "digits", "cap"])
 def test_integer_rows_match_the_fraction_oracle(shape, monkeypatch):
-    # term_pwl and linear_combination take the Fraction pipeline's steps on
-    # integer rows, so every result, and every piece-cap error, is equal;
+    # term_pwl (through negation normal form) and linear_combination take the
+    # Fraction pipeline's steps on integer rows, so every result, and every
+    # piece-cap error, is equal;
     # the oracle takes the cap as an argument, the package as its constant
     rng = random.Random(f"pwl-oracle:{shape}")
     hits = 0
