@@ -31,8 +31,6 @@ from .formula import Iff, Implies, Join, Meet, Nabla, Neg, Odot, Ominus, Oplus, 
 from .kernel import Record
 
 DEFAULT_PIECE_CAP = 100_000
-# box corners prune may tabulate; stays put when the piece cap is lowered
-_CORNER_LIMIT = DEFAULT_PIECE_CAP
 _COVERAGE_LIMIT = 1200
 
 
@@ -303,90 +301,50 @@ def _trunc_sum(f: MaxMin, g: MaxMin, shift=0) -> MaxMin:
 def prune(f: MaxMin) -> MaxMin:
     """Drop pieces and groups that can never decide the max-min value.
 
-    Inside a group (a min), a piece dominated from below by another member
-    is redundant; a whole group whose min is dominated from above by some
-    other group's min is redundant under the max.  Affine comparisons are
-    decided exactly at the box corners (the difference of two pieces is
-    affine, so its sign at the corners extends to their convex hull).
-    Values are preserved at every point of the box.  More than
-    ``_CORNER_LIMIT`` corners is a :class:`BudgetExceededError`.
+    Inside a group (a min), a piece with another member below it on the
+    whole box is redundant; under the max, a group is redundant when
+    another group covers it: each of that group's pieces lies above one of
+    its own.  ``a <= b`` on [0, 1]^n is decided exactly in O(n): ``b - a``
+    is least at the corner with ``x_i = 1`` exactly where ``b_i < a_i``.
+    Slimmed groups are antichains, so coverage is a partial order, and the
+    groups kept, those no other group covers, do not depend on the order of
+    the groups.  Values are preserved at every point of the box.
     """
     rows = f.rows
     if len(rows) == 1 and len(rows[0]) == 1:
         return f
-    n = f.n
-    if 2**n > _CORNER_LIMIT:
-        raise BudgetExceededError("box corner table for pruning would exceed the piece cap", 2**n, _CORNER_LIMIT)
 
-    # Intern distinct pieces to small integers in order of first appearance.
+    # Intern distinct pieces to small integers, in order of first appearance.
+    # above[k] is the bit set of the other pieces b >= a = pieces[k] on the
+    # box: b0 - a0 + sum(min(0, bi - ai)) >= 0, that is b0 + sum(min(ai, bi))
+    # >= a(1, ..., 1); b >= a at the corners 0 and (1, ..., 1) is tested first.
     pieces = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
-    index = {row: i for i, row in enumerate(pieces)}
+    index = {row: k for k, row in enumerate(pieces)}
+    ends = [(b[0], sum(b), b[1:]) for b in pieces]
+    above = []
+    for k, (a0, top, slope) in enumerate(ends):
+        bits = 0
+        for j, (b0, btop, bs) in enumerate(ends):
+            if b0 >= a0 and btop >= top and b0 + sum(map(min, slope, bs)) >= top:
+                bits |= 1 << j
+        above.append(bits ^ 1 << k)
 
-    # Each piece's values at the box corners (numerators over f.den, at most
-    # `bound` in size) are packed into one integer: corner k of
-    # itertools.product((0, 1), repeat=n) is the field of `width` bits at
-    # position 2**n - 1 - k, holding value + bound under a clear guard bit.
-    # Packing is linear: masks[i - 1] has the fields of the corners with
-    # x_i = 1, runs of 2**(n - i) fields from a set run at the low end.  Then
-    # u <= v at every corner exactly when ((v | guard) - u) & guard == guard,
-    # and packed integers order as their corner tuples do.
-    bound = max(sum(map(abs, row)) for row in pieces)
-    width = (2 * bound).bit_length() + 1
-    field = (1 << width) - 1
-    full = (1 << (width << n)) - 1
-    ones = full // field
-    guard = ones << (width - 1)
-    masks = [
-        full // ((1 << (2 * run * width)) - 1) * (((1 << (run * width)) - 1) // field)
-        for run in (1 << (n - i) for i in range(1, n + 1))
-    ]
-    packed = [(row[0] + bound) * ones + sum(map(mul, row[1:], masks)) for row in pieces]
-    lifted = [p | guard for p in packed]
-
-    slimmed = set()
+    # A piece leaves its group when another member lies below it; each kept
+    # group maps to the pieces above one of its members (its own included).
+    slimmed = {}
     for group in rows:
-        ids = [index[piece] for piece in group]
-        # piece a stays unless another member b is <= a at every corner
-        kept = [
-            a for a in ids if all(b == a or (lifted[a] - packed[b]) & guard != guard for b in ids)
-        ]
-        slimmed.add(tuple(sorted(kept)))
+        over = own = 0
+        for k in map(index.__getitem__, group):
+            over |= above[k]
+            own |= 1 << k
+        slimmed[own & ~over] = own | over
 
-    if len(slimmed) > _COVERAGE_LIMIT:
-        # Quadratic group comparison would thrash here; keep the cheap
-        # piece-level result and let the piece cap catch runaway growth.
-        return _maxmin(n, f.den, [[pieces[a] for a in g] for g in slimmed])
-
-    def corner_min(g):
-        # the corner-wise minimum of the group's packed pieces
-        out = packed[g[0]]
-        for a in g[1:]:
-            b = packed[a]
-            below = (((b | guard) - out) & guard) >> (width - 1)  # out <= b
-            out = b ^ ((out ^ b) & below * field)
-        return out
-
-    # A group may only be dropped in favor of one earlier in this order:
-    # corner minima descending, then structure.  Coverage implies order, so
-    # drop chains always end at a surviving group and no cluster of groups
-    # with one shared minimum can eliminate itself.
-    keyed = sorted((-corner_min(g), g) for g in slimmed)
-    slimmed = [g for _, g in keyed]
-    mins = [-m for m, _ in keyed]
-
-    def covers(j, i):
-        # min of group i <= min of group j pointwise; the corner minima give
-        # a cheap necessary filter before the piecewise witness search.
-        return ((mins[j] | guard) - mins[i]) & guard == guard and all(
-            any((lifted[b] - packed[a]) & guard == guard for a in slimmed[i]) for b in slimmed[j]
-        )
-
-    final = [
-        [pieces[a] for a in group]
-        for i, group in enumerate(slimmed)
-        if not any(covers(j, i) for j in range(i))
-    ]
-    return _maxmin(n, f.den, final)
+    if len(slimmed) <= _COVERAGE_LIMIT:
+        # group h covers group g when each piece of h is above a piece of g
+        slimmed = [g for g, up in slimmed.items() if not any(h != g and h & ~up == 0 for h in slimmed)]
+    # Past the limit, quadratic group comparison would thrash: keep the cheap
+    # piece-level result and let the piece cap catch runaway growth.
+    return _maxmin(f.n, f.den, [[pieces[k] for k in range(g.bit_length()) if g >> k & 1] for g in slimmed])
 
 
 # Truncated sums: each operand's polarity (1 negated) and the shift, as they

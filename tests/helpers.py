@@ -446,55 +446,50 @@ def _ftrunc(f, cap):
     return fraction_prune(_fmeet(_fnorm(f + _fconst(n, 0)), _fconst(n, 1), cap))
 
 
-def fraction_prune(f):
-    """Reference for ``prune``: a Fraction corner table, each column
-    rescaled to integers, and the same drop rule."""
-    if len(f) == 1 and len(f[0]) == 1:
-        return f
-    n = len(f[0][0]) - 1
+def corner_order(pieces):
+    """``below(i, j)``: ``pieces[i] <= pieces[j]`` on the box, read off a
+    Fraction table of their values at the 2**n box corners, each column
+    rescaled to integers."""
+    n = len(pieces[0]) - 1
     _fcap(2**n, None, "box corner table for pruning")
     corners = list(itertools.product((F(0), F(1)), repeat=n))
-    pieces = list(dict.fromkeys(a for g in f for a in g))
     exact = [
         tuple(a[0] + sum(c * x for c, x in zip(a[1:], corner)) for corner in corners)
         for a in pieces
     ]
     scale = [math.lcm(*(v.denominator for v in column)) for column in zip(*exact)]
     ivecs = [tuple(v.numerator * (s // v.denominator) for v, s in zip(vec, scale)) for vec in exact]
-    index = {a: i for i, a in enumerate(pieces)}
     cache = {}
 
-    def dominated(a, b):
-        if (a, b) not in cache:
-            cache[a, b] = all(x <= y for x, y in zip(ivecs[a], ivecs[b]))
-        return cache[a, b]
+    def below(i, j):
+        if (i, j) not in cache:
+            cache[i, j] = all(x <= y for x, y in zip(ivecs[i], ivecs[j]))
+        return cache[i, j]
 
+    return below
+
+
+def covers(below, h, g):
+    """Group ``h`` covers group ``g`` (both index tuples): each piece of h
+    is above a piece of g."""
+    return all(any(below(a, b) for a in g) for b in h)
+
+
+def fraction_prune(f):
+    """Reference for ``prune``: a Fraction corner table and the same drop
+    rule, a group goes when another group covers it."""
+    if len(f) == 1 and len(f[0]) == 1:
+        return f
+    pieces = list(dict.fromkeys(a for g in f for a in g))
+    below = corner_order(pieces)
+    index = {a: i for i, a in enumerate(pieces)}
     slimmed = set()
     for group in f:
         row = [index[a] for a in group]
-        kept = [a for a in row if not any(b != a and dominated(b, a) for b in row)]
-        slimmed.add(tuple(sorted(kept)))
-    if len(slimmed) > _COVERAGE_LIMIT:
-        return _fnorm([tuple(pieces[a] for a in g) for g in slimmed])
-
-    def min_vec(g):
-        return tuple(map(min, zip(*(ivecs[a] for a in g))))
-
-    slimmed = sorted(slimmed, key=lambda g: (tuple(-m for m in min_vec(g)), g))
-    mins = [min_vec(g) for g in slimmed]
-
-    def covers(j, i):
-        return all(x <= y for x, y in zip(mins[i], mins[j])) and all(
-            any(dominated(a, b) for a in slimmed[i]) for b in slimmed[j]
-        )
-
-    return _fnorm(
-        [
-            tuple(pieces[a] for a in g)
-            for i, g in enumerate(slimmed)
-            if not any(covers(j, i) for j in range(i))
-        ]
-    )
+        slimmed.add(tuple(a for a in row if not any(b != a and below(b, a) for b in row)))
+    if len(slimmed) <= _COVERAGE_LIMIT:
+        slimmed = [g for g in slimmed if not any(h != g and covers(below, h, g) for h in slimmed)]
+    return _fnorm([tuple(pieces[a] for a in g) for g in slimmed])
 
 
 def fraction_groups(f):

@@ -108,6 +108,24 @@ def test_components_past_the_piece_cap_of_reflecting_whole_subformulas(capsys):
         assert any(p[0] + sum(c * xi for c, xi in zip(p[1:], x)) == value for p in pieces), x
 
 
+def test_components_drop_a_group_whose_minima_tie_with_a_covering_group(capsys):
+    # the term function is max(0, min(x, 1 - x)); {x, 1 - x} covers {0}
+    code, out, _ = run(capsys, "components", "!((v1 -> !v1) -> !(v1 /\\ v1))")
+    assert (code, out) == (EXIT_OK, "0 1\n1 -1\n")
+
+
+def test_formula_extrema_have_no_dimension_limit(capsys):
+    # pruning compares pieces in O(n), not at the 2**n box corners
+    started = time.perf_counter()
+    assert term_pwl(parse("v1 \\/ v40"), 40).piece_count == 2
+    assert time.perf_counter() - started < 2
+    started = time.perf_counter()
+    code, out, err = run(capsys, "max", "v1 \\/ v40")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "1\n" + ",".join(["0"] * 39 + ["1"]) + "\n"  # the unit vector e40
+    assert time.perf_counter() - started < 2
+
+
 def test_eval_constant_needs_no_point(capsys):
     code, out, _ = run(capsys, "eval", "C[1/2] (+) C[1/4]")
     assert code == EXIT_OK
@@ -220,14 +238,12 @@ def test_exact_values_and_sizes_past_4300_digits(capsys):
     code, out, err = run(capsys, "eval", "D[1/999999999] " * 600 + "v1", "--at", "1")
     assert (code, err) == (EXIT_OK, "")
     assert len(out) == 5403 and out == f"1/{999999999**600}\n"  # main lifted the limit for this process too
-    # a size of 2**20000 prints as a bound, on one short line
-    for argv in (("min", "v1 \\/ v20000"), ("components", "v1 \\/ v2", "--arity", "20000")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (EXIT_BUDGET, ""), argv
-        assert err == (
-            "budget exceeded: box corner table for pruning would exceed the piece cap: "
-            "required at least 2^20000, budget 100000\n"
-        ), argv
+    # 20,000 variables: pruning compares pieces in O(n)
+    code, out, err = run(capsys, "min", "v1 \\/ v20000")
+    assert (code, err, out.splitlines()[0]) == (EXIT_OK, "", "0")
+    code, out, err = run(capsys, "components", "v1 \\/ v2", "--arity", "20000")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "".join(f"0{' 0' * i} 1{' 0' * (19999 - i)}\n" for i in (1, 0))
 
 
 def test_coherent_incoherent_book(tmp_path, capsys):
@@ -627,9 +643,10 @@ def _hostile_calls(tmp_path):
         yield "synth", file(text)
     for text in MALFORMED_CERTIFICATES:
         yield "coherent", good_book, "--verify", file(text)
-    # high variable indices: pruning's box-corner table would have 2**n rows
+    # high variable indices; the coherence of the event exceeds the vertex budget
     yield "min", "v1 \\/ v30"
     yield "components", "v1 \\/ v2", "--arity", "40"
+    yield "coherent", file(json.dumps({"events": [{"formula": "v1 \\/ v30", "odd": "1/2"}]}))
 
 
 def test_every_subcommand_keeps_the_exit_code_contract_on_hostile_input(tmp_path, capsys):

@@ -49,6 +49,8 @@ from rieszmv import pwl
 from helpers import (
     candidate_vertices,
     clamp,
+    corner_order,
+    covers,
     fraction_groups,
     fraction_linear_combination,
     fraction_maxmin,
@@ -282,19 +284,42 @@ def test_prune_examples():
     assert prune(_mm(1, (X, x_plus_one))) == _mm(1, (X,))
     assert prune(_mm(1, (X,))) == _mm(1, (X,))
     assert prune(_mm(1, (X, ONE_MINUS_X))) == _mm(1, (X, ONE_MINUS_X))
+    # max(0, min(x, 1 - x)): the group {x, 1 - x} covers {0}, though their
+    # minima tie at both box corners
+    assert prune(_mm(1, ((F(0), F(0)),), (X, ONE_MINUS_X))) == _mm(1, (X, ONE_MINUS_X))
+
+
+def _literal_maxmin(rng, n):
+    # groups of the pieces 0, 1, x_i and 1 - x_i: group minima often tie at
+    # every box corner
+    literals = [(F(0),) * (n + 1), (F(1),) + (F(0),) * n]
+    for i in range(1, n + 1):
+        literals.append(tuple(F(int(j == i)) for j in range(n + 1)))
+        literals.append((F(1),) + tuple(F(-int(j == i)) for j in range(1, n + 1)))
+    groups = [[rng.choice(literals) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 4))]
+    return _mm(n, *groups)
 
 
 def test_prune_preserves_values_random():
+    def check(f, rng):
+        slim = prune(f)
+        for corner in itertools.product((F(0), F(1)), repeat=f.n):
+            assert maxmin_eval(slim, corner) == maxmin_eval(f, corner)
+        # no surviving group is covered by another
+        pieces = [a.coeffs for a in components(slim)]
+        groups = [tuple(map(pieces.index, g)) for g in fraction_groups(slim)]
+        below = corner_order(pieces)
+        assert not any(h != g and covers(below, h, g) for g in groups for h in groups), f
+        for _ in range(25):
+            x = rand_point(rng, f.n)
+            assert maxmin_eval(slim, x) == maxmin_eval(f, x)
+
     rng = random.Random(47)
     for _ in range(60):
-        n = rng.randint(1, 3)
-        f = rand_maxmin(rng, n, max_groups=4, max_group_size=4)
-        slim = prune(f)
-        for corner in itertools.product((F(0), F(1)), repeat=n):
-            assert maxmin_eval(slim, corner) == maxmin_eval(f, corner)
-        for _ in range(25):
-            x = rand_point(rng, n)
-            assert maxmin_eval(slim, x) == maxmin_eval(f, x)
+        check(rand_maxmin(rng, rng.randint(1, 3), max_groups=4, max_group_size=4), rng)
+    rng = random.Random(48)
+    for _ in range(60):
+        check(_literal_maxmin(rng, rng.randint(1, 3)), rng)
 
 
 def test_linear_combination_examples():
@@ -345,13 +370,9 @@ def test_piece_cap_aborts_loudly(monkeypatch):
     with pytest.raises(BudgetExceededError):
         mm_add(f, f)
     monkeypatch.undo()
-    # pruning compares pieces at all 2**n box corners; a high variable
-    # index aborts before that table is built
-    with pytest.raises(BudgetExceededError) as err:
-        prune(mm_join(projection(30, 1), projection(30, 30)))
-    assert err.value.size == 2**30
-    with pytest.raises(BudgetExceededError):
-        term_pwl(parse("v1 \\/ v30"), 30)
+    # pruning compares pieces in O(n), so a high variable index is no budget
+    assert prune(mm_join(projection(30, 1), projection(30, 30))).piece_count == 2
+    assert term_pwl(parse("v1 \\/ v30"), 30).piece_count == 2
 
 
 def test_json_round_trip():
@@ -445,8 +466,8 @@ def test_components_and_json_are_pinned():
         text = "".join(" ".join(map(str, a.coeffs)) + "\n" for a in components(f)) + "\n"
         comps.update(text.encode())
         data.update(json.dumps(maxmin_to_json(f)).encode() + b"\n")
-    assert comps.hexdigest() == "fba8b4acf045b585431aee2a887beecc58908a9ada1c47c81e79c5d930cdd878"
-    assert data.hexdigest() == "4d32cc1d4b490fb30a1dab87bad11a3335f6924078afc5aacc34478e61b36fcc"
+    assert comps.hexdigest() == "d8600cdc55919d02fea40a41b027470bf8055435c04d0f786372a43c5339e2df"
+    assert data.hexdigest() == "a7c938770da926c26f6da12165f20ecefde436f5eea155e6a112695efc76c86c"
 
 
 def _nnf_cases():
