@@ -77,9 +77,7 @@ from .geometry import (
 from .synthesis import synth_pwl, synth_trunc_affine
 from .coherence import (
     Book,
-    Coherent,
     DutchBook,
-    Incoherent,
     StateWitness,
     book_from_json,
     book_to_json,

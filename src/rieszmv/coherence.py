@@ -5,14 +5,14 @@ no stake vector gives the bettor a guaranteed strict win against the
 bookmaker — is equivalent to the odds vector lying in the convex hull of
 the evaluation image of the events: the hull of its values at the vertices
 of the arrangement of the box facets and each event's own piece differences.
-That membership is decided by an exact LP; both outcomes come with
-machine-checkable certificates:
+That membership is decided by an exact LP, and ``check_coherent`` returns
+the machine-checkable certificate of the outcome itself:
 
-* a state witness: a convex combination of at most k+1 evaluations whose
-  barycenter reproduces every odd exactly, or
-* a Dutch book: stakes with a positive margin of guaranteed loss, certified
-  at every vertex of the staked events' arrangement (hence at every
-  evaluation, the payoff being piecewise linear with extrema there).
+* a :class:`StateWitness`: a convex combination of at most k+1 evaluations
+  whose barycenter reproduces every odd exactly, or
+* a :class:`DutchBook`: stakes with a positive margin of guaranteed loss,
+  certified at every vertex of the staked events' arrangement (hence at
+  every evaluation, the payoff being piecewise linear with extrema there).
 """
 
 from __future__ import annotations
@@ -79,20 +79,6 @@ class DutchBook(Record):
         self.__dict__.update(stakes=stakes, margin=margin)
 
 
-class Coherent(Record):
-    __match_args__ = ("witness",)
-
-    def __init__(self, witness):
-        self.__dict__["witness"] = witness
-
-
-class Incoherent(Record):
-    __match_args__ = ("dutch_book",)
-
-    def __init__(self, dutch_book):
-        self.__dict__["dutch_book"] = dutch_book
-
-
 def event_image(book: Book, budget=None):
     """Arrangement vertices with the per-event value vectors at each.
 
@@ -113,7 +99,7 @@ def _max_payoff(stakes, odds, image):
 
 
 def check_coherent(book: Book, budget=None):
-    """Decide coherence, returning :class:`Coherent` or :class:`Incoherent`.
+    """Decide coherence and return its certificate: a StateWitness or a DutchBook.
 
     Feasibility of ``sum a_v F(v) = odds, sum a_v = 1, a >= 0`` is decided
     by exact simplex.  A basic feasible solution has at most k+1 positive
@@ -136,29 +122,30 @@ def check_coherent(book: Book, budget=None):
         stakes = [-y for y in result.farkas[: book.k]]
         scale = max(abs(c) for c in stakes)
         stakes = [c / scale for c in stakes]
-        return Incoherent(DutchBook(tuple(stakes), -_max_payoff(stakes, odds, image)))
+        return DutchBook(tuple(stakes), -_max_payoff(stakes, odds, image))
 
     support = tuple(
         (point, weight) for (point, _), weight in zip(image, result.x) if weight > 0
     )
-    return Coherent(StateWitness(support))
+    return StateWitness(support)
 
 
 def verify_certificate(book: Book, result, budget=None) -> bool:
     """Re-check a coherence certificate exactly, without re-solving.
 
-    A state witness must reproduce every odd as a convex combination of at
-    most k+1 evaluations; Dutch-book stakes must lose at least the margin
-    at every vertex of the image of the staked events (a zero stake adds
-    nothing to the payoff), and some stake must be nonzero.
+    The certificate's class picks the check: a state witness must reproduce
+    every odd as a convex combination of at most k+1 evaluations; a Dutch
+    book's stakes must lose at least the margin at every vertex of the image
+    of the staked events (a zero stake adds nothing to the payoff), and some
+    stake must be nonzero.
     """
-    if isinstance(result, Coherent):
-        if len(result.witness.support) > book.k + 1:
+    if isinstance(result, StateWitness):
+        if len(result.support) > book.k + 1:
             return False
-        return all(state_eval(result.witness, phi) == r for phi, r in book.events)
-    if isinstance(result, Incoherent):
-        stakes = result.dutch_book.stakes
-        margin = result.dutch_book.margin
+        return all(state_eval(result, phi) == r for phi, r in book.events)
+    if isinstance(result, DutchBook):
+        stakes = result.stakes
+        margin = result.margin
         if len(stakes) != book.k or margin <= 0:
             return False
         staked = [(event, c) for event, c in zip(book.events, stakes) if c]
@@ -200,16 +187,11 @@ def shortfall_span_member(book: Book, cs, budget=None) -> Formula:
     """Quasi-linear combination of the clamped shortfalls ``odd_i (-) event_i``.
 
     For a coherent book every such combination is an invalid formula; this
-    is the certificate-side construction for that necessary condition.
+    is the certificate-side construction for that necessary condition: the
+    span member of the book of shortfall events ``(C[r_i] (-) phi_i, 0)``.
     """
-    cs = list(cs)
-    if len(cs) != book.k:
-        raise ValueError(f"expected {book.k} coefficients, got {len(cs)}")
-    n = book.dimension
-    shortfalls = [
-        term_pwl(Ominus(RConst(r), phi), n) for phi, r in book.events
-    ]
-    return synth_pwl(linear_combination(shortfalls, cs), budget)
+    shortfalls = Book((Ominus(RConst(r), phi), ZERO) for phi, r in book.events)
+    return span_member(shortfalls, cs, budget)
 
 
 def nabla_combination(formulas, rs) -> Formula:
@@ -265,19 +247,19 @@ def book_to_json(book: Book) -> dict:
 
 
 def certificate_to_json(result) -> dict:
-    if isinstance(result, Coherent):
+    if isinstance(result, StateWitness):
         return {
             "kind": "coherent",
             "support": [
                 {"point": [str(c) for c in point], "weight": str(w)}
-                for point, w in result.witness.support
+                for point, w in result.support
             ],
         }
-    if isinstance(result, Incoherent):
+    if isinstance(result, DutchBook):
         return {
             "kind": "incoherent",
-            "stakes": [str(c) for c in result.dutch_book.stakes],
-            "margin": str(result.dutch_book.margin),
+            "stakes": [str(c) for c in result.stakes],
+            "margin": str(result.margin),
         }
     raise TypeError(f"not a coherence result: {result!r}")
 
@@ -299,7 +281,7 @@ def certificate_from_json(data):
     # built outside the try: a certificate that breaks its own rules (weights,
     # margin) is reported in their words, not as malformed JSON
     if kind == "coherent":
-        return Coherent(StateWitness(support))
+        return StateWitness(support)
     if kind == "incoherent":
-        return Incoherent(DutchBook(stakes, margin))
+        return DutchBook(stakes, margin)
     raise ValueError(f"unknown certificate kind: {kind!r}")

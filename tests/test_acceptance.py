@@ -12,8 +12,8 @@ from fractions import Fraction
 from rieszmv import (
     Book,
     BudgetExceededError,
-    Coherent,
-    Incoherent,
+    DutchBook,
+    StateWitness,
     check_coherent,
     constant,
     evaluate,
@@ -216,7 +216,7 @@ def test_criterion_7_coherence():
         result = check_coherent(book)
         lo, _ = minimum(phi)
         hi, _ = maximum(phi)
-        assert isinstance(result, Coherent) == (lo <= r <= hi)
+        assert isinstance(result, StateWitness) == (lo <= r <= hi)
 
     # (b)/(c) certificates re-verify exactly on random books, k <= 4, n <= 3
     for _ in range(40):
@@ -225,15 +225,15 @@ def test_criterion_7_coherence():
         book = _random_book(rng, k, n)
         result = check_coherent(book)
         image = event_image(book)
-        if isinstance(result, Coherent):
-            support = result.witness.support
+        if isinstance(result, StateWitness):
+            support = result.support
             assert len(support) <= book.k + 1
             assert sum(w for _, w in support) == 1
             for i, (phi, r) in enumerate(book.events):
                 assert sum(w * evaluate(phi, p) for p, w in support) == r
         else:
-            stakes = result.dutch_book.stakes
-            margin = result.dutch_book.margin
+            stakes = result.stakes
+            margin = result.margin
             assert margin > 0
             for v, values in image:
                 loss = sum(c * (r - fv) for c, (_, r), fv in zip(stakes, book.events, values))
@@ -243,16 +243,16 @@ def test_criterion_7_coherence():
     # (d) known-answer books
     book = Book(((parse("v1"), F(1, 2)), (parse("!v1"), F(3, 10))))
     result = check_coherent(book)
-    assert isinstance(result, Incoherent)
-    assert result.dutch_book.stakes == (F(1), F(1))
-    assert result.dutch_book.margin == F(1, 5)
+    assert isinstance(result, DutchBook)
+    assert result.stakes == (F(1), F(1))
+    assert result.margin == F(1, 5)
 
     book = Book(((parse("v1 (+) v1"), F(9, 10)), (parse("v1"), F(2, 5))))
-    assert isinstance(check_coherent(book), Incoherent)
+    assert isinstance(check_coherent(book), DutchBook)
 
     book = Book(((parse("v1"), F(1, 2)), (parse("!v1"), F(1, 2))))
     result = check_coherent(book)
-    assert isinstance(result, Coherent)
+    assert isinstance(result, StateWitness)
     assert verify_certificate(book, result)
 
     _report("criterion 7", started, 300, "coherence: interval cross-check, certificate re-verification, known books")
@@ -297,11 +297,11 @@ def test_criterion_8_span_invalidity_cross_check():
             cs = [rand_signed(rng, 2, 4) for _ in range(k)]
             invalid, witness = _span_member_is_invalid(book, cs)
             assert invalid == has_nonnegative_gain(cs)
-            if isinstance(verdict, Coherent):
+            if isinstance(verdict, StateWitness):
                 assert invalid
 
-        if isinstance(verdict, Incoherent):
-            stakes = list(verdict.dutch_book.stakes)
+        if isinstance(verdict, DutchBook):
+            stakes = list(verdict.stakes)
             invalid, _ = _span_member_is_invalid(book, stakes)
             assert not invalid
             assert not has_nonnegative_gain(stakes)

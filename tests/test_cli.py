@@ -308,7 +308,7 @@ def test_json_numbers_are_read_exactly(tmp_path, capsys):
     text = '{"events": [{"formula": "v1", "odd": 0.30000000000000001}]}'
     assert coherence.book_from_json(text).events[0][1] == F(30000000000000001, 10**17)
     cert = coherence.certificate_from_json('{"kind": "incoherent", "stakes": [1e-400], "margin": 0.1}')
-    assert (cert.dutch_book.stakes, cert.dutch_book.margin) == ((F(1, 10**400),), F(1, 10))
+    assert (cert.stakes, cert.margin) == ((F(1, 10**400),), F(1, 10))
 
 
 def test_json_numbers_and_rational_strings_give_the_same_values(tmp_path, capsys):

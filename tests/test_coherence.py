@@ -7,9 +7,7 @@ import pytest
 from rieszmv import (
     Book,
     BudgetExceededError,
-    Coherent,
     DutchBook,
-    Incoherent,
     StateWitness,
     book_from_json,
     book_to_json,
@@ -66,8 +64,8 @@ def test_event_image_examples():
 def test_coherent_book_two_sided():
     book = _book(("v1", "1/2"), ("!v1", "1/2"))
     result = check_coherent(book)
-    assert isinstance(result, Coherent)
-    support = result.witness.support
+    assert isinstance(result, StateWitness)
+    support = result.support
     assert len(support) <= 3
     for (phi, r) in book.events:
         assert sum(w * evaluate(phi, p) for p, w in support) == r
@@ -77,9 +75,9 @@ def test_coherent_book_two_sided():
 def test_incoherent_book_complement_mispriced():
     book = _book(("v1", "1/2"), ("!v1", "3/10"))
     result = check_coherent(book)
-    assert isinstance(result, Incoherent)
-    assert result.dutch_book.stakes == (F(1), F(1))
-    assert result.dutch_book.margin == F(1, 5)
+    assert isinstance(result, DutchBook)
+    assert result.stakes == (F(1), F(1))
+    assert result.margin == F(1, 5)
     assert verify_certificate(book, result)
     # the loss is uniform: (1/2 - x) + (3/10 - (1 - x)) = -1/5 at every x
     for x in (F(0), F(1, 3), F(1)):
@@ -90,30 +88,28 @@ def test_incoherent_book_complement_mispriced():
 def test_incoherent_book_below_hull_edge():
     book = _book(("v1 (+) v1", "9/10"), ("v1", "2/5"))
     result = check_coherent(book)
-    assert isinstance(result, Incoherent)
+    assert isinstance(result, DutchBook)
     assert verify_certificate(book, result)
 
 
 def test_tampered_certificates_fail_verification():
     book = _book(("v1", "1/2"), ("!v1", "3/10"))
     result = check_coherent(book)
-    weaker = Incoherent(DutchBook(result.dutch_book.stakes, result.dutch_book.margin * 2))
+    weaker = DutchBook(result.stakes, result.margin * 2)
     assert not verify_certificate(book, weaker)
     # the margin is tight: the true loss bound passes, just above it fails
     assert verify_certificate(book, result)
-    above = Incoherent(DutchBook(result.dutch_book.stakes, result.dutch_book.margin + F(1, 1000)))
+    above = DutchBook(result.stakes, result.margin + F(1, 1000))
     assert not verify_certificate(book, above)
-    flipped = Incoherent(DutchBook(tuple(-c for c in result.dutch_book.stakes), F(1, 5)))
+    flipped = DutchBook(tuple(-c for c in result.stakes), F(1, 5))
     assert not verify_certificate(book, flipped)
 
     ok_book = _book(("v1", "1/2"), ("!v1", "1/2"))
-    witness = check_coherent(ok_book).witness
-    bogus = Coherent(StateWitness(((witness.support[0][0], F(1)),)))
+    witness = check_coherent(ok_book)
+    bogus = StateWitness(((witness.support[0][0], F(1)),))
     if witness.support[0][0] != (F(1, 2),):
         assert not verify_certificate(ok_book, bogus)
-    crowded = Coherent(
-        StateWitness((((F(0),), F(1, 4)), ((F(1, 3),), F(1, 4)), ((F(2, 3),), F(1, 4)), ((F(1),), F(1, 4))))
-    )
+    crowded = StateWitness((((F(0),), F(1, 4)), ((F(1, 3),), F(1, 4)), ((F(2, 3),), F(1, 4)), ((F(1),), F(1, 4))))
     assert not verify_certificate(ok_book, crowded)  # support exceeds k + 1
 
 
@@ -126,13 +122,13 @@ def test_single_event_interval_criterion_random():
         lo, _ = minimum(phi)
         hi, _ = maximum(phi)
         result = check_coherent(book)
-        assert isinstance(result, Coherent) == (lo <= r <= hi)
+        assert isinstance(result, StateWitness) == (lo <= r <= hi)
         assert verify_certificate(book, result)
 
 
 def test_state_eval_laws():
     book = _book(("v1", "1/2"), ("!v1", "1/2"))
-    witness = check_coherent(book).witness
+    witness = check_coherent(book)
     for phi, r in book.events:
         assert state_eval(witness, phi) == r
     assert state_eval(witness, parse("v1 -> v1")) == 1
@@ -172,10 +168,13 @@ def test_span_member_evaluation_identity_random():
         book = Book(tuple(events))
         cs = [rand_signed(rng, 2, 4) for _ in range(k)]
         psi = span_member(book, cs)
+        shortfall = shortfall_span_member(book, cs)
         for _ in range(15):
             x = rand_point(rng, 2)
             want = clamp(sum(c * (evaluate(phi, x) - r) for c, (phi, r) in zip(cs, events)))
             assert evaluate(psi, x) == want
+            want = clamp(sum(c * clamp(r - evaluate(phi, x)) for c, (phi, r) in zip(cs, events)))
+            assert evaluate(shortfall, x) == want
 
 
 def test_nabla_combination_examples():
@@ -200,7 +199,7 @@ def test_shortfall_span_members_invalid_for_coherent_books():
         k = rng.randint(1, 2)
         events = [(rand_formula(rng, 2, 2), rand_unit(rng, 4)) for _ in range(k)]
         book = Book(tuple(events))
-        if not isinstance(check_coherent(book), Coherent):
+        if not isinstance(check_coherent(book), StateWitness):
             continue
         tried += 1
         cs = [rand_signed(rng, 2, 4) for _ in range(k)]
@@ -234,8 +233,8 @@ def test_sufficient_condition_cross_check_random():
         book = Book(tuple(events))
         result = check_coherent(book)
         assert verify_certificate(book, result)
-        if isinstance(result, Incoherent):
-            stakes = result.dutch_book.stakes
+        if isinstance(result, DutchBook):
+            stakes = result.stakes
             both = [signed_difference(phi, r, c) for (phi, r), c in zip(book.events, stakes)]
             combo = span_member(
                 Book(tuple((phi, F(0)) for phi in both)), [abs(c) for c in stakes]
@@ -322,9 +321,9 @@ def test_a_support_point_may_carry_coordinates_the_book_does_not_use():
     # the rest unused; a point missing a variable the book uses is an error
     book = _book(("v1", "1"))
     for point in ((F(1),), (F(1), F(0), F(1, 2))):
-        assert verify_certificate(book, Coherent(StateWitness(((point, F(1)),)))), point
+        assert verify_certificate(book, StateWitness(((point, F(1)),))), point
     with pytest.raises(ValueError, match="^arity mismatch"):
-        verify_certificate(_book(("v1 (.) v2", "1")), Coherent(StateWitness((((F(1),), F(1)),))))
+        verify_certificate(_book(("v1 (.) v2", "1")), StateWitness((((F(1),), F(1)),)))
 
 
 def test_event_image_skips_the_differences_across_events():
@@ -384,7 +383,7 @@ def test_per_event_image_agrees_with_the_pooled_oracle(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(coherence, "event_image", pooled_event_image)
         oracle = [check_coherent(book) for book in books]
-    verdicts = {Coherent: 0, Incoherent: 0}
+    verdicts = {StateWitness: 0, DutchBook: 0}
     for book, expected in zip(books, oracle):
         result = check_coherent(book)
         assert type(result) is type(expected), book
@@ -392,13 +391,13 @@ def test_per_event_image_agrees_with_the_pooled_oracle(monkeypatch):
         pooled = pooled_event_image(book)
         assert {p for p, _ in event_image(book)} <= {p for p, _ in pooled}
         odds = [r for _, r in book.events]
-        if isinstance(result, Coherent):
-            assert len(result.witness.support) <= book.k + 1
-            assert all(state_eval(result.witness, phi) == r for phi, r in book.events), book
+        if isinstance(result, StateWitness):
+            assert len(result.support) <= book.k + 1
+            assert all(state_eval(result, phi) == r for phi, r in book.events), book
         else:
-            stakes = result.dutch_book.stakes
+            stakes = result.stakes
             payoffs = [sum(c * (r - v) for c, r, v in zip(stakes, odds, values)) for _, values in pooled]
-            assert result.dutch_book.margin == -max(payoffs), book
+            assert result.margin == -max(payoffs), book
         assert verify_certificate(book, result), book
     assert min(verdicts.values()) > 150, verdicts
 
@@ -409,16 +408,16 @@ def test_a_dutch_book_is_verified_on_its_staked_events_alone():
     book = _book(("v1", "1/2"), ("!v1", "3/10"), ("v1 (+) v1", "1/2"))
     with pytest.raises(BudgetExceededError):
         event_image(book, budget=2)
-    assert verify_certificate(book, Incoherent(DutchBook((F(1), F(1), F(0)), F(1, 5))), budget=2)
-    assert not verify_certificate(book, Incoherent(DutchBook((F(1), F(1), F(0)), F(1, 4))), budget=2)
+    assert verify_certificate(book, DutchBook((F(1), F(1), F(0)), F(1, 5)), budget=2)
+    assert not verify_certificate(book, DutchBook((F(1), F(1), F(0)), F(1, 4)), budget=2)
     # no stake at all: no payoff to lose, and no image to build even at budget 0
-    assert not verify_certificate(book, Incoherent(DutchBook((F(0),) * 3, F(1, 5))), budget=0)
+    assert not verify_certificate(book, DutchBook((F(0),) * 3, F(1, 5)), budget=0)
 
 
 def test_a_book_past_the_budget_only_when_pooled_is_decided():
     # each event's own differences give H = 4 (x1 = 1/2, x1 = 2/3 and the
     # two facets); pooling adds x1 = 1/3, so C(5, 1) = 5 systems
-    for odd, verdict in (("1/2", Coherent), ("1/4", Incoherent)):
+    for odd, verdict in (("1/2", StateWitness), ("1/4", DutchBook)):
         book = _book(("v1 /\\ C[1/2]", "1/2"), ("!v1 \\/ C[1/3]", odd))
         with pytest.raises(BudgetExceededError) as err:
             pooled_event_image(book, budget=4)
@@ -455,3 +454,8 @@ def test_the_lp_gets_one_column_per_distinct_value_vector(monkeypatch):
         assert columns.pop() == first and len(first) == 4
         assert certificate_to_json(result) == certificate
         assert verify_certificate(book, result)
+
+
+def test_check_coherent_returns_the_certificate_itself():
+    assert check_coherent(_book(("v1", "1/2"), ("!v1", "3/10"))) == DutchBook((1, 1), F(1, 5))
+    assert type(check_coherent(_book(("v1", "1/2"), ("!v1", "1/2")))) is StateWitness
