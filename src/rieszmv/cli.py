@@ -4,6 +4,11 @@ One subcommand per invocation; line-oriented text by default, JSON with
 ``--json``.  Rationals print as ``p/q`` in lowest terms, never as floats.
 Exit status: 0 success, 1 domain error, 2 budget exceeded (or out of
 memory), 64 usage error.
+
+``--json`` and ``--budget`` go before the subcommand.  A subcommand is one
+row of ``COMMANDS`` plus a handler returning its JSON data and text lines,
+which ``main`` prints.  Handlers look library functions up at call time,
+so wrappers installed on the module attributes see every call.
 """
 
 from __future__ import annotations
@@ -39,12 +44,10 @@ def _point(text):
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def _emit(args, data, text_lines):
-    if args.json:
-        print(json.dumps(data, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _stake(text):
+    if text.startswith("--"):  # no rational does: an option after the book
+        raise argparse.ArgumentTypeError(f"not a stake: {text!r} (options go before the subcommand)")
+    return text
 
 
 def _fmt_point(point):
@@ -57,76 +60,47 @@ def _load_json(path):
 
 
 def cmd_eval(args):
-    phi = parse(args.formula)
-    value = evaluate(phi, _point(args.at))
-    _emit(args, {"value": str(value)}, [str(value)])
-    return EXIT_OK
+    value = str(evaluate(parse(args.formula), _point(args.at)))
+    return {"value": value}, [value]
 
 
 def cmd_components(args):
     phi = parse(args.formula)
     n = args.arity if args.arity is not None else max(1, arity(phi))
-    pieces = components(term_pwl(phi, n))
-    data = {"n": n, "components": [[str(c) for c in a.coeffs] for a in pieces]}
-    _emit(args, data, [" ".join(str(c) for c in a.coeffs) for a in pieces])
-    return EXIT_OK
+    pieces = [[str(c) for c in a.coeffs] for a in components(term_pwl(phi, n))]
+    return {"n": n, "components": pieces}, [" ".join(piece) for piece in pieces]
 
 
 def cmd_synth(args):
-    f = maxmin_from_json(_load_json(args.pwl))
-    phi = synthesis.synth_pwl(f, args.budget)
-    text = format_formula(phi)
-    _emit(args, {"formula": text}, [text])
-    return EXIT_OK
+    text = format_formula(synthesis.synth_pwl(maxmin_from_json(_load_json(args.pwl)), args.budget))
+    return {"formula": text}, [text]
 
 
-def _cmd_extremum(args, optimize):
-    phi = parse(args.formula)
-    value, witness = optimize(phi, args.budget)
-    data = {"value": str(value), "witness": [str(c) for c in witness]}
-    _emit(args, data, [str(value), _fmt_point(witness)])
-    return EXIT_OK
-
-
-def cmd_min(args):
-    return _cmd_extremum(args, geometry.minimum)
-
-
-def cmd_max(args):
-    return _cmd_extremum(args, geometry.maximum)
+def _extremum(args, optimize):
+    value, witness = optimize(parse(args.formula), args.budget)
+    return {"value": str(value), "witness": [str(c) for c in witness]}, [str(value), _fmt_point(witness)]
 
 
 def cmd_valid(args):
-    phi = parse(args.formula)
-    verdict = geometry.is_valid(phi, args.budget)
-    _emit(args, {"valid": verdict}, ["true" if verdict else "false"])
-    return EXIT_OK
+    verdict = geometry.is_valid(parse(args.formula), args.budget)
+    return {"valid": verdict}, ["true" if verdict else "false"]
 
 
 def cmd_invalid(args):
-    phi = parse(args.formula)
-    verdict, witness = geometry.is_invalid(phi, args.budget)
-    if verdict:
-        data = {"invalid": True, "witness": [str(c) for c in witness]}
-        _emit(args, data, ["true", _fmt_point(witness)])
-    else:
-        _emit(args, {"invalid": False}, ["false"])
-    return EXIT_OK
-
-
-def cmd_equiv(args):
-    left = parse(args.left)
-    right = parse(args.right)
-    verdict = geometry.semantic_equiv(left, right, args.budget)
-    _emit(args, {"equivalent": verdict}, ["true" if verdict else "false"])
-    return EXIT_OK
+    verdict, witness = geometry.is_invalid(parse(args.formula), args.budget)
+    if not verdict:
+        return {"invalid": False}, ["false"]
+    return {"invalid": True, "witness": [str(c) for c in witness]}, ["true", _fmt_point(witness)]
 
 
 def cmd_norm(args):
-    phi = parse(args.formula)
-    value = geometry.unit_norm(phi, args.budget)
-    _emit(args, {"norm": str(value)}, [str(value)])
-    return EXIT_OK
+    value = str(geometry.unit_norm(parse(args.formula), args.budget))
+    return {"norm": value}, [value]
+
+
+def cmd_equiv(args):
+    verdict = geometry.semantic_equiv(parse(args.left), parse(args.right), args.budget)
+    return {"equivalent": verdict}, ["true" if verdict else "false"]
 
 
 def cmd_coherent(args):
@@ -134,36 +108,52 @@ def cmd_coherent(args):
     if args.verify is not None:
         cert = coherence.certificate_from_json(_load_json(args.verify))
         ok = coherence.verify_certificate(book, cert, args.budget)
-        _emit(args, {"verified": ok}, ["verified" if ok else "NOT verified"])
-        return EXIT_OK if ok else EXIT_DOMAIN
-    result = coherence.check_coherent(book, args.budget)
-    print(json.dumps(coherence.certificate_to_json(result), indent=2))
-    return EXIT_OK
+        return {"verified": ok}, ["verified" if ok else "NOT verified"]
+    data = coherence.certificate_to_json(coherence.check_coherent(book, args.budget))
+    return data, [json.dumps(data, indent=2)]
 
 
 def cmd_span(args):
     book = coherence.book_from_json(_load_json(args.book))
-    stakes = [parse_rational(s) for s in args.stakes]
-    combo = coherence.span_combination(book, stakes)
+    combo = coherence.span_combination(book, [parse_rational(s) for s in args.stakes])
     phi = synthesis.synth_pwl(combo, args.budget)
     # the synthesized formula agrees with the combination pointwise, so both
     # have the same minimum, at the same least point
     lo, lo_at = geometry._box_min(combo, args.budget)
-    verdict = lo == 0
     text = format_formula(phi)
-    data = {"formula": text, "invalid": verdict}
-    lines = [text, "invalid" if verdict else "not invalid"]
-    if verdict:
-        witness = lo_at()
-        data["witness"] = [str(c) for c in witness]
-        lines.append(_fmt_point(witness))
-    _emit(args, data, lines)
-    return EXIT_OK
+    if lo != 0:
+        return {"formula": text, "invalid": False}, [text, "not invalid"]
+    witness = lo_at()
+    data = {"formula": text, "invalid": True, "witness": [str(c) for c in witness]}
+    return data, [text, "invalid", _fmt_point(witness)]
+
+
+# name, help, handler, arguments: a name, or a name and its add_argument options
+COMMANDS = (
+    ("eval", "evaluate a formula at a point", cmd_eval,
+     ("formula", ("--at", {"default": "", "help": "comma-separated rational coordinates"}))),
+    ("components", "affine pieces of the term function", cmd_components,
+     ("formula", ("--arity", {"type": int, "help": "embed in this dimension"}))),
+    ("synth", "formula for a piecewise-linear JSON file", cmd_synth,
+     (("pwl", {"help": "path to {'n': ..., 'groups': ...} JSON"}),)),
+    ("min", "exact minimum with witness", lambda args: _extremum(args, geometry.minimum), ("formula",)),
+    ("max", "exact maximum with witness", lambda args: _extremum(args, geometry.maximum), ("formula",)),
+    ("valid", "is the formula identically 1?", cmd_valid, ("formula",)),
+    ("invalid", "does some evaluation give 0?", cmd_invalid, ("formula",)),
+    ("norm", "unit seminorm (sup of the term function)", cmd_norm, ("formula",)),
+    ("equiv", "do two formulas share a term function?", cmd_equiv, ("left", "right")),
+    ("coherent", "decide coherence of a book JSON file", cmd_coherent,
+     ("book", ("--verify", {"help": "re-check this certificate instead of solving"}))),
+    # REMAINDER, so that negative stakes such as -1/2 are not read as options
+    ("span", "synthesize a quasi-linear span member", cmd_span,
+     ("book", ("stakes", {"nargs": argparse.REMAINDER, "type": _stake, "help": "one rational stake per event"}))),
+)
 
 
 @functools.cache
 def build_parser():
-    parser = _Parser(prog="rieszmv", description=__doc__)
+    # the docstring's last paragraph is for readers of the code, not of --help
+    parser = _Parser(prog="rieszmv", description=(__doc__ or "").rsplit("\n\n", 1)[0])
     parser.add_argument("--json", action="store_true", help="emit JSON instead of plain lines")
     parser.add_argument(
         "--budget",
@@ -175,48 +165,12 @@ def build_parser():
         "A bad RIESZ_BUDGET is a domain error, checked before any subcommand runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a formula at a point")
-    p.add_argument("formula")
-    p.add_argument("--at", default="", help="comma-separated rational coordinates")
-    p.set_defaults(run=cmd_eval)
-
-    p = sub.add_parser("components", help="affine pieces of the term function")
-    p.add_argument("formula")
-    p.add_argument("--arity", type=int, default=None, help="embed in this dimension")
-    p.set_defaults(run=cmd_components)
-
-    p = sub.add_parser("synth", help="formula for a piecewise-linear JSON file")
-    p.add_argument("pwl", help="path to {'n': ..., 'groups': ...} JSON")
-    p.set_defaults(run=cmd_synth)
-
-    for name, runner, help_text in (
-        ("min", cmd_min, "exact minimum with witness"),
-        ("max", cmd_max, "exact maximum with witness"),
-        ("valid", cmd_valid, "is the formula identically 1?"),
-        ("invalid", cmd_invalid, "does some evaluation give 0?"),
-        ("norm", cmd_norm, "unit seminorm (sup of the term function)"),
-    ):
+    for name, help_text, handler, arguments in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("formula")
-        p.set_defaults(run=runner)
-
-    p = sub.add_parser("equiv", help="do two formulas share a term function?")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(run=cmd_equiv)
-
-    p = sub.add_parser("coherent", help="decide coherence of a book JSON file")
-    p.add_argument("book")
-    p.add_argument("--verify", default=None, help="re-check this certificate instead of solving")
-    p.set_defaults(run=cmd_coherent)
-
-    p = sub.add_parser("span", help="synthesize a quasi-linear span member")
-    p.add_argument("book")
-    # REMAINDER, so that negative stakes such as -1/2 are not read as options
-    p.add_argument("stakes", nargs=argparse.REMAINDER, help="one rational stake per event")
-    p.set_defaults(run=cmd_span)
-
+        for argument in arguments:
+            dest, options = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(dest, **options)
+        p.set_defaults(run=handler)
     return parser
 
 
@@ -243,7 +197,10 @@ def main(argv=None) -> int:
                 args.budget = -1
             if args.budget < 0:
                 raise ValueError(f"RIESZ_BUDGET must be a nonnegative integer, got {env!r}")
-        return args.run(args)
+        data, lines = args.run(args)
+        for line in [json.dumps(data, indent=2)] if args.json else lines:
+            print(line)
+        return EXIT_DOMAIN if data.get("verified") is False else EXIT_OK  # a certificate that fails
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

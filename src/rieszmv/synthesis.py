@@ -23,6 +23,7 @@ least |c_i| of them wherever it takes slope c_i.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 from .formula import Delta, Formula, Join, Meet, Ominus, Oplus, RConst, Var
 from .geometry import _check_unit_range
@@ -80,11 +81,15 @@ def synth_pwl(f: MaxMin, budget=None) -> Formula:
     """
     _check_unit_range(f, budget)
 
-    result = None
+    # every formula lies in [0, 1], so a C[1] member leaves its meet
+    # unchanged and a group holding a C[0] leaves the join unchanged
+    pieces = []
     for group in f.groups:
-        piece = None
-        for a in group:
-            phi = synth_trunc_affine(a)
-            piece = phi if piece is None else Meet(piece, phi)
-        result = piece if result is None else Join(result, piece)
-    return result
+        members = [synth_trunc_affine(a) for a in group]
+        if not any(_is_constant(phi, 0) for phi in members):
+            pieces.append(reduce(Meet, [phi for phi in members if not _is_constant(phi, 1)] or members[:1]))
+    return reduce(Join, pieces) if pieces else RConst(0)
+
+
+def _is_constant(phi, r):
+    return type(phi) is RConst and phi.r == r  # by type: Formula == compares programs

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -182,14 +183,27 @@ def test_synth_range_error_prints_the_point_like_a_witness(tmp_path, capsys):
 
 def test_synth_prints_pieces_constant_on_the_box_as_constants(tmp_path, capsys):
     cases = (
-        ([[["5", "0"], ["0", "1"]]], "v1 /\\ C[1]"),  # min(5, v1)
-        ([[["3/2", "0"], ["0", "1"]]], "v1 /\\ C[1]"),  # min(3/2, v1)
-        ([[["2", "1"], ["0", "1"]]], "v1 /\\ C[1]"),  # min(2 + v1, v1)
-        ([[["-1", "1", "-1"]], [["0", "1/2", "0"]]], "C[0] \\/ D[1/2] v1"),  # max(v1 - 1 - v2, v1/2)
+        ([[["5", "0"], ["0", "1"]]], "v1"),  # min(5, v1)
+        ([[["3/2", "0"], ["0", "1"]]], "v1"),  # min(3/2, v1)
+        ([[["2", "1"], ["0", "1"]]], "v1"),  # min(2 + v1, v1)
+        ([[["-1", "1", "-1"]], [["0", "1/2", "0"]]], "D[1/2] v1"),  # max(v1 - 1 - v2, v1/2)
     )
     for groups, expected in cases:
         path = tmp_path / "constant.json"
         path.write_text(json.dumps({"n": len(groups[0][0]) - 1, "groups": groups}))
+        assert run(capsys, "synth", str(path)) == (EXIT_OK, expected + "\n", ""), groups
+
+
+def test_synth_drops_constants_that_cannot_change_the_value(tmp_path, capsys):
+    cases = (
+        ([[["1", "0"], ["2", "-1"]]], "C[1]"),  # min(1, 2 - v1): a meet of C[1]s keeps one
+        ([[["0", "1"], ["0", "0"]], [["0", "-1"]]], "C[0]"),  # every group holds a C[0]
+        ([[["0", "1"], ["1", "0"]], [["1", "-1"], ["0", "0"]]], "v1"),  # max(min(v1, 1), min(1 - v1, 0))
+        ([[["0", "1"], ["1", "0"]], [["1", "-1"], ["3/2", "0"]]], "v1 \\/ C[1] (-) v1"),
+    )
+    for groups, expected in cases:
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps({"n": 1, "groups": groups}))
         assert run(capsys, "synth", str(path)) == (EXIT_OK, expected + "\n", ""), groups
 
 
@@ -574,6 +588,55 @@ def test_span_takes_negative_stakes_as_in_the_readme(tmp_path, capsys):
     single.write_text(json.dumps({"events": [{"formula": "v1", "odd": "1/2"}]}))
     assert run(capsys, "span", str(single), "-3/4")[0] == EXIT_OK
     assert run(capsys, "span", str(single))[0] == EXIT_USAGE
+
+
+def test_span_with_an_option_after_the_book_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(BOOK_INCOHERENT))
+    # a stake never starts with "--", so such a token is an option out of place
+    for stakes in (("1", "--budget", "3"), ("--json", "1"), ("1", "--", "-1/2")):
+        code, out, err = run(capsys, "span", str(path), *stakes)
+        assert (code, out) == (EXIT_USAGE, ""), stakes
+        assert err.startswith("usage: rieszmv span ") and "options go before the subcommand" in err, stakes
+    code, out, err = run(capsys, "--budget", "3", "--json", "span", str(path), "1", "1")
+    assert (code, json.loads(out), err) == (EXIT_OK, {"formula": "C[1/5]", "invalid": False}, "")
+
+
+# subcommand, dest, option strings, nargs, default, type, help of every argument but -h
+ARGUMENTS = [
+    ("eval", "formula", [], None, None, None, None),
+    ("eval", "at", ["--at"], None, "", None, "comma-separated rational coordinates"),
+    ("components", "formula", [], None, None, None, None),
+    ("components", "arity", ["--arity"], None, None, int, "embed in this dimension"),
+    ("synth", "pwl", [], None, None, None, "path to {'n': ..., 'groups': ...} JSON"),
+    ("min", "formula", [], None, None, None, None),
+    ("max", "formula", [], None, None, None, None),
+    ("valid", "formula", [], None, None, None, None),
+    ("invalid", "formula", [], None, None, None, None),
+    ("norm", "formula", [], None, None, None, None),
+    ("equiv", "left", [], None, None, None, None),
+    ("equiv", "right", [], None, None, None, None),
+    ("coherent", "book", [], None, None, None, None),
+    ("coherent", "verify", ["--verify"], None, None, None, "re-check this certificate instead of solving"),
+    ("span", "book", [], None, None, None, None),
+    ("span", "stakes", [], argparse.REMAINDER, None, cli._stake, "one rational stake per event"),
+]
+
+
+def test_the_argument_table_is_pinned(capsys):
+    # read off the parser's actions rather than its help text, whose layout
+    # changes between Python versions
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actual = [
+        (name, a.dest, a.option_strings, a.nargs, a.default, a.type, a.help)
+        for name, p in subcommands.choices.items()
+        for a in p._actions
+        if not isinstance(a, argparse._HelpAction)
+    ]
+    assert actual == ARGUMENTS
+    for name in subcommands.choices:
+        code, _, err = run(capsys, name, "--help")
+        assert (code, err) == (EXIT_OK, ""), name
 
 
 # the shapes of the deep inputs in perfbench/workloads.py
