@@ -38,7 +38,6 @@ from .formula import (
     evaluate,
     expand,
     format_formula,
-    nnf,
     parse,
     program,
 )

@@ -160,7 +160,7 @@ def build_parser():
         type=int,
         default=None,
         help="cap on the simplex pivots of one extremum (min, max, valid, invalid, norm, equiv, "
-        "synth, span) or on vertex-enumeration subsets (coherent, and a synth or span minimum "
+        "synth, span; pivots of the dual form of each LP) or on vertex-enumeration subsets (coherent, and a synth or span minimum "
         f"whose reflection outgrows the piece cap); without it RIESZ_BUDGET, else {geometry.DEFAULT_BUDGET}. "
         "A bad RIESZ_BUDGET is a domain error, checked before any subcommand runs",
     )

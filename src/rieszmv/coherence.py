@@ -17,13 +17,15 @@ the machine-checkable certificate of the outcome itself:
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .formula import Formula, Ominus, Oplus, Nabla, ParseError, RConst, arity, evaluate, format_formula, parse
-from .geometry import vertices_from_components
+from .geometry import _primitive, vertices_from_components
 from .kernel import ONE, Record, UnitRational, ZERO
 from .lp import INFEASIBLE, solve_lp
-from .pwl import MaxMin, _exact, _json_array, _json_number, _json_value, components, constant, linear_combination, maxmin_eval, mm_add, term_pwl
+from .pwl import MaxMin, _exact, _json_array, _json_number, _json_value, _maxmin_at, _pieces, _rows_over, constant, linear_combination, mm_add, term_pwl
 from .synthesis import synth_pwl
 
 
@@ -80,22 +82,33 @@ class DutchBook(Record):
 
 
 def event_image(book: Book, budget=None):
-    """Arrangement vertices with the per-event value vectors at each.
+    """Arrangement vertices with the per-event values at each, in integers.
 
     Each event is affine on every cell cut by its own pairwise piece
     differences, so the value map is affine on each cell of the arrangement
     of all events' own differences and the box facets (never the differences
     across events): the returned vectors span the evaluation image's hull.
+    One pair ``(w, u)`` per vertex, in point order: the vertex (w1/w0, ...,
+    wn/w0) in homogeneous integers, w0 > 0, and the event values u_i/w0.
     """
     n = book.dimension
     terms = [term_pwl(phi, n) for phi, _ in book.events]
-    vertices = vertices_from_components(n, *map(components, terms), budget=budget)
-    return [(v, tuple(maxmin_eval(f, v) for f in terms)) for v in vertices]
+    den = math.lcm(*(f.den for f in terms))
+    rows = [_rows_over(f, den) for f in terms]
+    points = vertices_from_components(n, *map(_pieces, terms), budget=budget, homogeneous=True)
+    # rows over den give numerators over den * w0, so the vertex is given as den * w
+    return [
+        (tuple(den * c for c in w) if den > 1 else w, tuple(_maxmin_at(g, w) for g in rows)) for w in points
+    ]
 
 
-def _max_payoff(stakes, odds, image):
-    # the largest stake payoff over the image; a Dutch book's margin is its negation
-    return max(sum(c * (r - v) for c, r, v in zip(stakes, odds, values)) for _, values in image)
+def _max_payoff(stakes, odds, columns):
+    # the largest stake payoff sum c_i (r_i - u_i / w0) over the columns
+    # (u_1, ..., u_k, w0), one Fraction each; a Dutch book's margin is its negation
+    scale = math.lcm(*(c.denominator for c in stakes))
+    weights = [c.numerator * (scale // c.denominator) for c in stakes]
+    least = min(Fraction(sum(map(operator.mul, weights, col)), scale * col[-1]) for col in columns)
+    return sum(map(operator.mul, stakes, odds)) - least
 
 
 def check_coherent(book: Book, budget=None):
@@ -107,25 +120,30 @@ def check_coherent(book: Book, budget=None):
     normalized so the largest absolute stake is 1.  Vertices that repeat a
     value vector repeat a column, which Bland's rule never lets enter after
     the first, so only the first of each is passed to the LP.
+
+    A column is the primitive form of ``(u, w0)`` (:func:`event_image`), s > 0
+    times ``(F(v), 1)``.  That multiplies its reduced cost and its entry in
+    each row by s, so neither Bland's sign test nor the order of the ratios
+    within the column changes: the pivot path, the basis and the Farkas
+    vector are those of the unscaled LP, and a_v is s times the column's x.
     """
-    first = {}
-    for point, values in event_image(book, budget):
-        first.setdefault(values, point)
-    image = [(point, values) for values, point in first.items()]
+    columns = {}
+    for w, u in event_image(book, budget):
+        columns.setdefault(_primitive(u + (w[0],)), w)
     odds = [r for _, r in book.events]
-    rows = [[values[i] for _, values in image] for i in range(book.k)]
-    rows.append([ONE] * len(image))
-    rhs = odds + [ONE]
-    result = solve_lp(rows, rhs, [ZERO] * len(image))
+    rows = [[col[i] for col in columns] for i in range(book.k + 1)]
+    result = solve_lp(rows, odds + [ONE], [0] * len(columns))
 
     if result.status == INFEASIBLE:
         stakes = [-y for y in result.farkas[: book.k]]
         scale = max(abs(c) for c in stakes)
         stakes = [c / scale for c in stakes]
-        return DutchBook(tuple(stakes), -_max_payoff(stakes, odds, image))
+        return DutchBook(tuple(stakes), -_max_payoff(stakes, odds, columns))
 
     support = tuple(
-        (point, weight) for (point, _), weight in zip(image, result.x) if weight > 0
+        (tuple(Fraction(c, w[0]) for c in w[1:]), col[-1] * x)
+        for (col, w), x in zip(columns.items(), result.x)
+        if x > 0
     )
     return StateWitness(support)
 
@@ -152,7 +170,8 @@ def verify_certificate(book: Book, result, budget=None) -> bool:
         if not staked:
             return False
         events, stakes = zip(*staked)
-        return _max_payoff(stakes, [r for _, r in events], event_image(Book(events), budget)) <= -margin
+        image = event_image(Book(events), budget)
+        return _max_payoff(stakes, [r for _, r in events], [u + (w[0],) for w, u in image]) <= -margin
     raise TypeError(f"not a coherence result: {result!r}")
 
 

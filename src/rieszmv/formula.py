@@ -9,10 +9,9 @@ distinct nodes so printing preserves the input, but their meaning is fixed
 by expansion into the primitives.
 
 :func:`program` is the one formula walk: a cached node list in which equal
-subformulas share one entry.  :func:`arity`, :func:`evaluate`, :func:`expand`,
-:func:`nnf` (negation normal form, the tests' oracle for ``pwl.term_pwl``)
-and ``pwl.term_pwl`` (that form's term function, built without its nodes)
-loop over it, and ``==`` and ``hash()`` read it.  :func:`format_formula` and ``repr()`` keep explicit stacks of their
+subformulas share one entry.  :func:`arity`, :func:`evaluate`, :func:`expand`
+and ``pwl.term_pwl`` (the term function of the negation normal form, built
+without its nodes) loop over it, and ``==`` and ``hash()`` read it.  :func:`format_formula` and ``repr()`` keep explicit stacks of their
 own, so formulas built in code may be of any depth; only the parser
 recurses.  :func:`parse` takes its tokens from one regex scan and interns
 each node into the program as it builds it, through the helper
@@ -90,7 +89,7 @@ class Formula(Record):
 
 
 # One __init__ per node shape, each writing the instance dict directly: the
-# parser, expand and nnf build one node per step, so construction stays cheap.
+# parser and expand build one node per step, so construction stays cheap.
 
 
 class Var(Formula):
@@ -366,49 +365,6 @@ def expand(phi: Formula) -> Formula:
             e = _e_odot(out[i], Neg(out[j]))
         append(e)
     return out[-1]
-
-
-# De Morgan duals of the binary connectives that negation normal form keeps
-_DUAL = {Oplus: Odot, Odot: Oplus, Join: Meet, Meet: Join}
-
-
-def nnf(phi: Formula) -> tuple:
-    """Negation normal forms ``(positive, negated)`` of ``phi`` and of ``!phi``.
-
-    Negation is pushed to the variables by the MV De Morgan laws, the
-    scalar dualities ``!N[r]a = D[r]!a``, ``!D[r]a = N[r]!a`` and
-    ``!C[r] = C[1 - r]``, and the definitions ``a -> b = !a (+) b``,
-    ``a (-) b = a (.) !b`` and ``a <-> b = (a -> b) /\\ (b -> a)``.  The
-    results use Var, !Var, constants, N, D, (+), (.), \\/ and /\\ only, so
-    every ``Neg`` has a ``Var`` child.  One loop over :func:`program` keeps
-    one pair per entry, and the forms share it, so they have at most six
-    nodes per entry of ``phi`` (three for each side of a ``<->``).
-    """
-    pairs = []
-    append = pairs.append
-    for kind, r, i, j, _ in program(phi):
-        if kind is Var:
-            v = Var(r)
-            append((v, Neg(v)))
-        elif kind is RConst:
-            append((RConst(r), RConst(1 - r)))
-        elif kind is Neg:
-            append(pairs[i][::-1])
-        elif kind is Nabla:
-            append((Nabla(r, pairs[i][0]), Delta(r, pairs[i][1])))
-        elif kind is Delta:
-            append((Delta(r, pairs[i][0]), Nabla(r, pairs[i][1])))
-        else:
-            (pa, na), (pb, nb) = pairs[i], pairs[j]
-            if kind is Implies:
-                append((Oplus(na, pb), Odot(pa, nb)))
-            elif kind is Ominus:
-                append((Odot(pa, nb), Oplus(na, pb)))
-            elif kind is Iff:
-                append((Meet(Oplus(na, pb), Oplus(nb, pa)), Join(Odot(pa, nb), Odot(pb, na))))
-            else:
-                append((kind(pa, pb), _DUAL[kind](na, nb)))
-    return pairs[-1]
 
 
 # ---------------------------------------------------------------------------

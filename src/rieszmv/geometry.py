@@ -1,11 +1,12 @@
 """Exact extrema over [0, 1]^n, by one small LP per group.
 
 The maximum of a Max-Min function is the largest, over its groups, of max_x
-min_{a in G} a(x): one LP per group (:func:`lp.solve_lp`, integer rows),
-skipped for one-piece groups and for groups whose bound cannot beat the best
-value so far.  The rows bound f by L <= f <= U, the largest over the groups
-of the least piece minimum (maximum) on the box: synthesis solves only for a
-side of [0, 1] they leave open, and f(0) = L is the minimum, else -max(-f)
+min_{a in G} a(x): one LP per group (:func:`lp.solve_lp`, integer rows, in
+the dual form of :func:`_box_lp`), skipped for one-piece groups and for
+groups whose bound cannot beat the best value so far.  The rows bound f by
+L <= f <= U, the largest over the groups of the least piece minimum
+(maximum) on the box: synthesis solves only for a side of [0, 1] they leave
+open, and f(0) = L is the minimum, else -max(-f)
 (:func:`pwl.mm_negate`).  That of a formula is 1 - max ``!phi``, whose term
 function ``term_pwl(phi, n, True)`` reads in negation normal form.  The
 witness is the lexicographically least extremal point, from successive LPs:
@@ -21,7 +22,8 @@ reflection -f outgrows the piece cap (exponential in the groups); the scan
 reports the least value at the first vertex, the budget counting n-subsets.
 :func:`vertices_from_components` finds the vertices in integer arithmetic,
 walking the n-subsets of the hyperplanes (budgeted by their number,
-C(H, n)) with a null-space basis of each prefix.
+C(H, n)) with a null-space basis of each prefix, and sorts them by an
+integer key; the image and the scan read them as homogeneous integer points.
 """
 
 from __future__ import annotations
@@ -34,18 +36,18 @@ from fractions import Fraction
 from .errors import BudgetExceededError, RangeViolationError
 from .formula import Ominus, Oplus, arity, evaluate
 from .kernel import ONE, ZERO
-from .lp import solve_lp
-from .pwl import MaxMin, components, maxmin_eval, mm_negate, term_pwl
+from .lp import OPTIMAL, solve_lp
+from .pwl import Affine, MaxMin, _maxmin_at, _pieces, mm_negate, term_pwl
 
 DEFAULT_BUDGET = 2_000_000  # simplex pivots, or the vertex subsets of a scan
 
 
-def _differences(affines):
+def _differences(family):
     # primitive integer rows (c0, ..., cn) of the pairwise differences, first
-    # nonzero linear coefficient positive
-    if len(affines) < 2:
+    # nonzero linear coefficient positive; Affine pieces go over one denominator
+    distinct = {a.coeffs if isinstance(a, Affine) else tuple(a) for a in family}
+    if len(distinct) < 2:
         return set()
-    distinct = {a.coeffs for a in affines}
     scale = math.lcm(*[c.denominator for coeffs in distinct for c in coeffs])
     pieces = [[c.numerator * (scale // c.denominator) for c in coeffs] for coeffs in distinct]
     rows = set()
@@ -76,12 +78,15 @@ def _primitive(v):
     return tuple(c // g for c in v)
 
 
-def vertices_from_components(n, *families, budget=None):
+def vertices_from_components(n, *families, budget=None, homogeneous=False):
     """Candidate extremum points for Max-Min functions, one from each family.
 
     Intersects every n-subset of the box facets and the differences within
     each family, keeps the nonsingular solutions inside the box, and returns
-    them sorted and deduplicated.  Always contains all box corners.
+    them sorted and deduplicated.  Always contains all box corners.  A family
+    holds :class:`Affine` pieces, or integer rows (c0, ..., cn) at one positive
+    scale, as a ``MaxMin``'s rows.  Points are ``Fraction`` tuples or, when
+    ``homogeneous``, primitive integer (x0, ..., xn), x0 > 0, in that order.
 
     The walk is depth first in homogeneous coordinates (x0, ..., xn), carrying
     an integer null-space basis of the rows chosen so far; a row orthogonal to
@@ -141,7 +146,12 @@ def vertices_from_components(n, *families, budget=None):
             ]
             stack += ((i + 1, basis), (i + 1, reduced))  # this level resumes after the subtree
             break
-    return tuple(sorted(tuple(Fraction(c, p[0]) for c in p[1:]) for p in points))
+    # floor(x_i B^2): coordinates over denominators <= B that differ do so by >= 1/B^2
+    square = max(p[0] for p in points) ** 2
+    ordered = sorted(points, key=lambda p: [c * square // p[0] for c in p[1:]])
+    if homogeneous:
+        return tuple(ordered)
+    return tuple(tuple(Fraction(c, p[0]) for c in p[1:]) for p in ordered)
 
 
 def extrema(f: MaxMin, budget=None):
@@ -189,9 +199,10 @@ def _box_min(f: MaxMin, budget):
     try:
         negated = mm_negate(f)
     except BudgetExceededError:
-        scan = [(maxmin_eval(f, v), v) for v in vertices_from_components(f.n, components(f), budget=budget)]
-        lo, point = min(scan, key=operator.itemgetter(0))  # min returns the first of equal items
-        return lo, lambda: point
+        points = vertices_from_components(f.n, _pieces(f), budget=budget, homogeneous=True)
+        scan = [(Fraction(_maxmin_at(f.rows, w), f.den * w[0]), w) for w in points]
+        lo, w = min(scan, key=operator.itemgetter(0))  # min returns the first of equal items
+        return lo, lambda: tuple(Fraction(c, w[0]) for c in w[1:])
     neg, at = _box_max(negated, budget)
     return -neg, at
 
@@ -275,13 +286,19 @@ def _group_max(group, n, solve):
 
 
 def _box_lp(rows, rhs, cost, solve, stage):
-    """min cost*x over x in [0, 1]^v subject to row*x >= r for each row and r."""
-    m, v = len(rows), len(cost)
-    a_rows = [row + [-int(h == g) for g in range(m)] + [0] * v for h, row in enumerate(rows)]
-    for h in range(v):
-        unit = [int(h == g) for g in range(v)]
-        a_rows.append(unit + [0] * m + unit)
-    return solve(a_rows, rhs + [1] * v, cost + [0] * (m + v), stage).objective
+    """min cost*x over x in [0, 1]^v subject to row*x >= r for each row and r:
+    minus the optimum of its dual, max r*y - sum(w) subject to R^T y - w <=
+    cost, y, w >= 0, as v rows [R^T | -I | I] with the cost (-r, 1, 0).  Every
+    caller's primal is feasible, so a dual that is not optimal raises."""
+    v = len(cost)
+    a_rows = [
+        [row[h] for row in rows] + [-int(h == g) for g in range(v)] + [int(h == g) for g in range(v)]
+        for h in range(v)
+    ]
+    result = solve(a_rows, cost, [-r for r in rhs] + [1] * v + [0] * v, stage)
+    if result.status != OPTIMAL:
+        raise RuntimeError(f"the dual of a {stage} LP is {result.status}, so the LP is infeasible")
+    return -result.objective
 
 
 def _lexmin(group, target, n, solve):

@@ -168,14 +168,22 @@ def maxmin_eval(f: MaxMin, x) -> Fraction:
             raise TypeError(f"coordinate {c!r} is not exact; pass Fraction or int coordinates")
     q = math.lcm(*(c.denominator for c in coords))
     point = (q,) + tuple(c.numerator * (q // c.denominator) for c in coords)
-    best = max(min([sum(map(mul, row, point)) for row in group]) for group in f.rows)
-    return Fraction(best, f.den * q)
+    return Fraction(_maxmin_at(f.rows, point), f.den * q)
+
+
+def _maxmin_at(rows, w):
+    # max-min of integer row groups at the homogeneous point w: the value over den * w0
+    return max(min([sum(map(mul, row, w)) for row in group]) for group in rows)
+
+
+def _pieces(f: MaxMin):
+    # the distinct integer rows of f
+    return set(itertools.chain.from_iterable(f.rows))
 
 
 def components(f: MaxMin):
     """All affine pieces of ``f``, deduplicated, in canonical order."""
-    rows = sorted(set(itertools.chain.from_iterable(f.rows)))
-    return tuple(_affine(f.n, f.den, row) for row in rows)
+    return tuple(_affine(f.n, f.den, row) for row in sorted(_pieces(f)))
 
 
 def _check_cap(pieces, what):
@@ -358,9 +366,9 @@ _POLARITIES = ((), (0,), (1,), (0, 1))  # those each value of the need bits asks
 def term_pwl(phi, n: int, negate=False) -> MaxMin:
     """The term function of ``phi``, or of ``!phi`` when ``negate``, on
     [0, 1]^n as a Max-Min object: row for row that of its negation normal
-    form ``nnf(phi)[negate]``, read straight from the program.  A pass from
-    the root marks the polarities each entry is needed in; one pass builds
-    them.  Negation swaps polarities, so only variables are reflected; the
+    form (the tests' ``nnf`` oracle), read straight from the program.  A
+    pass from the root marks the polarities each entry is needed in; one
+    pass builds them.  Negation swaps polarities, so only variables are reflected; the
     scalars trade places with their duals; (+), (.), ->, (-) and each side
     of <-> are truncated sums.  Agrees with formula evaluation at every point.
     """

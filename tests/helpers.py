@@ -36,7 +36,7 @@ from rieszmv import (
     vertices_from_components,
 )
 from rieszmv.geometry import DEFAULT_BUDGET
-from rieszmv.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult
+from rieszmv.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexResult, solve_lp
 from rieszmv.pwl import _COVERAGE_LIMIT, DEFAULT_PIECE_CAP
 
 F = Fraction
@@ -200,6 +200,54 @@ def luk_is_valid(phi, budget=None):
 
 
 # ---------------------------------------------------------------------------
+# Negation normal form.
+
+
+# De Morgan duals of the binary connectives that negation normal form keeps
+_DUAL = {Oplus: Odot, Odot: Oplus, Join: Meet, Meet: Join}
+
+
+def nnf(phi):
+    """Negation normal forms ``(positive, negated)`` of ``phi`` and of ``!phi``:
+    the oracle of ``term_pwl``, which reads these forms without their nodes.
+
+    Negation is pushed to the variables by the MV De Morgan laws, the
+    scalar dualities ``!N[r]a = D[r]!a``, ``!D[r]a = N[r]!a`` and
+    ``!C[r] = C[1 - r]``, and the definitions ``a -> b = !a (+) b``,
+    ``a (-) b = a (.) !b`` and ``a <-> b = (a -> b) /\\ (b -> a)``.  The
+    results use Var, !Var, constants, N, D, (+), (.), \\/ and /\\ only, so
+    every ``Neg`` has a ``Var`` child.  One loop over :func:`program` keeps
+    one pair per entry, and the forms share it, so they have at most six
+    nodes per entry of ``phi`` (three for each side of a ``<->``).
+    """
+    pairs = []
+    append = pairs.append
+    for kind, r, i, j, _ in program(phi):
+        if kind is Var:
+            v = Var(r)
+            append((v, Neg(v)))
+        elif kind is RConst:
+            append((RConst(r), RConst(1 - r)))
+        elif kind is Neg:
+            append(pairs[i][::-1])
+        elif kind is Nabla:
+            append((Nabla(r, pairs[i][0]), Delta(r, pairs[i][1])))
+        elif kind is Delta:
+            append((Delta(r, pairs[i][0]), Nabla(r, pairs[i][1])))
+        else:
+            (pa, na), (pb, nb) = pairs[i], pairs[j]
+            if kind is Implies:
+                append((Oplus(na, pb), Odot(pa, nb)))
+            elif kind is Ominus:
+                append((Odot(pa, nb), Oplus(na, pb)))
+            elif kind is Iff:
+                append((Meet(Oplus(na, pb), Oplus(nb, pa)), Join(Odot(pa, nb), Odot(pb, na))))
+            else:
+                append((kind(pa, pb), _DUAL[kind](na, nb)))
+    return pairs[-1]
+
+
+# ---------------------------------------------------------------------------
 # Extrema of a Max-Min function by scanning its arrangement vertices: the
 # function is affine on every cell cut out by the pairwise differences of its
 # pieces and the box facets, so its extrema sit at cell vertices.
@@ -224,13 +272,24 @@ def vertex_extrema(f, budget=None):
 def pooled_event_image(book, budget=None):
     """Reference for ``event_image``: the vertices of the arrangement of all
     events' pieces pooled into one family, so the differences across events
-    cut it too, with the value vectors there.  Its points include those of
-    the per-event image and its vectors span the same hull."""
+    cut it too, with the value vectors there from ``maxmin_eval``, in the
+    integer format of ``event_image``.  Its points include those of the
+    per-event image and its vectors span the same hull."""
     n = book.dimension
     terms = [term_pwl(phi, n) for phi, _ in book.events]
     pooled = [a for f in terms for a in components(f)]
-    vertices = vertices_from_components(n, pooled, budget=budget)
-    return [(v, tuple(maxmin_eval(f, v) for f in terms)) for v in vertices]
+    image = []
+    for v in vertices_from_components(n, pooled, budget=budget):
+        values = tuple(maxmin_eval(f, v) for f in terms)
+        q = math.lcm(*(c.denominator for c in v + values))
+        image.append(((q, *(int(c * q) for c in v)), tuple(int(c * q) for c in values)))
+    return image
+
+
+def fraction_image(image):
+    """An event image of integer pairs ``(w, u)`` read as ``(point, values)``
+    in Fractions: the point (w1/w0, ..., wn/w0) and the values u_i/w0."""
+    return [(tuple(F(c, w[0]) for c in w[1:]), tuple(F(c, w[0]) for c in u)) for w, u in image]
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +354,18 @@ def brute_vertices(n, affines, budget=None):
         if x is not None and all(0 <= xi <= 1 for xi in x):
             points.add(x)
     return tuple(sorted(points))
+
+
+def primal_box_lp(rows, rhs, cost):
+    """Reference for ``geometry._box_lp``: min cost*x over x in [0, 1]^v with
+    row*x >= r for each row and r, in primal form: m + v equality rows with
+    a surplus column per row and a slack column per x_i <= 1."""
+    m, v = len(rows), len(cost)
+    a_rows = [list(row) + [-int(h == g) for g in range(m)] + [0] * v for h, row in enumerate(rows)]
+    for h in range(v):
+        unit = [int(h == g) for g in range(v)]
+        a_rows.append(unit + [0] * m + unit)
+    return solve_lp(a_rows, list(rhs) + [1] * v, list(cost) + [0] * (m + v))
 
 
 # ---------------------------------------------------------------------------

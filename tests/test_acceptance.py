@@ -43,6 +43,7 @@ from rieszmv import (
 from helpers import (
     candidate_vertices,
     clamp,
+    fraction_image,
     grid_points,
     luk_is_valid,
     rand_affine,
@@ -224,7 +225,7 @@ def test_criterion_7_coherence():
         n = rng.randint(1, 3)
         book = _random_book(rng, k, n)
         result = check_coherent(book)
-        image = event_image(book)
+        image = fraction_image(event_image(book))
         if isinstance(result, StateWitness):
             support = result.support
             assert len(support) <= book.k + 1
@@ -280,7 +281,7 @@ def test_criterion_8_span_invalidity_cross_check():
     for _ in range(50):
         k = rng.randint(1, 3)
         book = _random_book(rng, k, 2, depth=2)
-        image = event_image(book)
+        image = fraction_image(event_image(book))
         odds = [r for _, r in book.events]
         verdict = check_coherent(book)
 

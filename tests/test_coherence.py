@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from rieszmv import (
     event_image,
     is_invalid,
     maximum,
+    maxmin_eval,
     minimum,
     nabla_combination,
     parse,
@@ -27,13 +29,14 @@ from rieszmv import (
     span_combination,
     span_member,
     state_eval,
+    term_pwl,
     verify_certificate,
 )
 from rieszmv import Delta, Iff, Implies, Join, Meet, Nabla, Neg, Odot, Ominus, Oplus, RConst, Var, coherence
 from rieszmv.lp import solve_lp
 
 from helpers import clamp, rand_formula, rand_point, rand_signed, rand_unit
-from helpers import pooled_event_image
+from helpers import fraction_image, pooled_event_image
 
 F = Fraction
 
@@ -46,18 +49,18 @@ def _book(*pairs):
 
 
 def test_event_image_examples():
-    image = event_image(_book(("v1", "1/2")))
+    image = fraction_image(event_image(_book(("v1", "1/2"))))
     points = [p for p, _ in image]
     assert (F(0),) in points and (F(1),) in points
     values = {p: v for p, v in image}
     assert values[(F(0),)] == (F(0),)
     assert values[(F(1),)] == (F(1),)
 
-    image = event_image(_book(("v1 (+) v1", "1/2"), ("v1", "1/2")))
+    image = fraction_image(event_image(_book(("v1 (+) v1", "1/2"), ("v1", "1/2"))))
     assert [p for p, _ in image] == [(F(0),), (F(1, 2),), (F(1),)]
     assert [v for _, v in image] == [(F(0), F(0)), (F(1), F(1, 2)), (F(1), F(1))]
 
-    image = event_image(_book(("C[1/2]", "1/2")))
+    image = fraction_image(event_image(_book(("C[1/2]", "1/2"))))
     assert all(v == (F(1, 2),) for _, v in image)
 
 
@@ -330,10 +333,10 @@ def test_event_image_skips_the_differences_across_events():
     # x1 - 1/2 and x1 - 2/3 are each event's own; x1 - 1/3, between the
     # pieces x1 and 1/3 of two different events, cuts only the pooled image
     book = _book(("v1 /\\ C[1/2]", "1/2"), ("!v1 \\/ C[1/3]", "1/2"))
-    image = event_image(book)
+    image = fraction_image(event_image(book))
     assert [p for p, _ in image] == [(F(0),), (F(1, 2),), (F(2, 3),), (F(1),)]
     assert [v for _, v in image] == [(F(0), F(1)), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(1, 2), F(1, 3))]
-    assert [p for p, _ in pooled_event_image(book)] == [(F(0),), (F(1, 3),), (F(1, 2),), (F(2, 3),), (F(1),)]
+    assert [p for p, _ in fraction_image(pooled_event_image(book))] == [(F(0),), (F(1, 3),), (F(1, 2),), (F(2, 3),), (F(1),)]
 
 
 # (n, largest k, binary connectives per event), the book shapes of the
@@ -388,8 +391,8 @@ def test_per_event_image_agrees_with_the_pooled_oracle(monkeypatch):
         result = check_coherent(book)
         assert type(result) is type(expected), book
         verdicts[type(result)] += 1
-        pooled = pooled_event_image(book)
-        assert {p for p, _ in event_image(book)} <= {p for p, _ in pooled}
+        pooled = fraction_image(pooled_event_image(book))
+        assert {p for p, _ in fraction_image(event_image(book))} <= {p for p, _ in pooled}
         odds = [r for _, r in book.events]
         if isinstance(result, StateWitness):
             assert len(result.support) <= book.k + 1
@@ -400,6 +403,32 @@ def test_per_event_image_agrees_with_the_pooled_oracle(monkeypatch):
             assert result.margin == -max(payoffs), book
         assert verify_certificate(book, result), book
     assert min(verdicts.values()) > 150, verdicts
+
+
+def test_certificates_of_seeded_books_are_pinned():
+    # the certificates of 600 seeded books of the books workload's shapes, as
+    # the Fraction image and columns (values, 1) gave them
+    rng = random.Random(191)
+    digest = hashlib.sha256()
+    kinds = {"coherent": 0, "incoherent": 0}
+    for i in range(600):
+        book = _shaped_book(rng, _BOOK_SHAPES[i % 3], i // 3 % 3)
+        certificate = certificate_to_json(check_coherent(book))
+        kinds[certificate["kind"]] += 1
+        digest.update(json.dumps(certificate, sort_keys=True).encode() + b"\n")
+    assert kinds == {"coherent": 260, "incoherent": 340}
+    assert digest.hexdigest() == "5bc228a51384efa5ab3073f6d05fa0eddd9a64908eb4b2a089fe45792b0add1d"
+
+
+def test_image_values_are_the_term_functions_at_the_points():
+    rng = random.Random(197)
+    for i in range(150):
+        book = _shaped_book(rng, _BOOK_SHAPES[i % 3], i // 3 % 3)
+        terms = [term_pwl(phi, book.dimension) for phi, _ in book.events]
+        image = event_image(book)
+        assert all(w[0] > 0 for w, _ in image)
+        for point, values in fraction_image(image):
+            assert values == tuple(maxmin_eval(f, point) for f in terms), book
 
 
 def test_a_dutch_book_is_verified_on_its_staked_events_alone():
@@ -433,7 +462,9 @@ def test_the_lp_gets_one_column_per_distinct_value_vector(monkeypatch):
     columns = []
 
     def spy(rows, rhs, costs):
-        columns.append([tuple(row[j] for row in rows[:-1]) for j in range(len(costs))])
+        # column j as an image pair: ((w0,), (u_1, ..., u_k))
+        pairs = [((rows[-1][j],), tuple(row[j] for row in rows[:-1])) for j in range(len(costs))]
+        columns.append([values for _, values in fraction_image(pairs)])
         return solve_lp(rows, rhs, costs)
 
     monkeypatch.setattr(coherence, "solve_lp", spy)
@@ -447,7 +478,7 @@ def test_the_lp_gets_one_column_per_distinct_value_vector(monkeypatch):
     }
     for odd, certificate in pinned.items():
         book = _book(("v1 \\/ v2", "1/2"), ("v1 (.) v2", odd))
-        image = event_image(book)
+        image = fraction_image(event_image(book))
         assert len(image) == 5
         first = list(dict.fromkeys(values for _, values in image))
         result = check_coherent(book)

@@ -31,7 +31,6 @@ from rieszmv import (
     expand,
     format_formula,
     maxmin_eval,
-    nnf,
     parse,
     program,
     scalar_mul,
@@ -40,7 +39,7 @@ from rieszmv import (
     trunc,
 )
 
-from helpers import luk_eval, rand_formula, rand_maxmin, rand_point, rand_unit
+from helpers import luk_eval, nnf, rand_formula, rand_maxmin, rand_point, rand_unit
 
 F = Fraction
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -43,6 +44,7 @@ from rieszmv import (
     vertices_from_components,
 )
 from rieszmv import geometry
+from rieszmv.lp import solve_lp
 from rieszmv.errors import bounded
 from rieszmv.geometry import _differences, _hyperplanes, _is_facet
 
@@ -50,6 +52,7 @@ from helpers import (
     brute_vertices,
     candidate_vertices,
     grid_points,
+    primal_box_lp,
     rand_affine,
     rand_formula,
     rand_maxmin,
@@ -143,6 +146,24 @@ def test_vertex_enumeration_matches_the_fraction_oracle():
         with pytest.raises(BudgetExceededError) as oracle:
             brute_vertices(n, affines, budget=0)
         assert str(ours.value) == str(oracle.value)
+
+
+def test_integer_row_families_give_the_points_of_their_affines():
+    # each family as integer rows at its own random positive scale, as a
+    # MaxMin's rows are over its denominator; Fraction and homogeneous output
+    rng = random.Random(131)
+    for trial in range(240):
+        n = trial % 4 + 1
+        families = [_component_set(rng, n, _KINDS[trial // 4 % len(_KINDS)]) for _ in range(rng.randint(1, 3))]
+        expected = vertices_from_components(n, *families)
+        scaled = []
+        for family in families:
+            scale = math.lcm(*(c.denominator for a in family for c in a.coeffs)) * rng.randint(1, 6)
+            scaled.append([tuple(int(c * scale) for c in a.coeffs) for a in family])
+        assert vertices_from_components(n, *scaled) == expected, (n, families)
+        points = vertices_from_components(n, *scaled, homogeneous=True)
+        assert all(w[0] > 0 and math.gcd(*w) == 1 for w in points)
+        assert tuple(tuple(F(c, w[0]) for c in w[1:]) for w in points) == expected
 
 
 def test_hyperplanes_are_counted_before_they_are_built():
@@ -606,3 +627,61 @@ def test_the_library_reads_no_budget_from_the_environment(monkeypatch):
     # (tests/test_cli.py::test_budget_env_var); the library takes the default
     monkeypatch.setenv("RIESZ_BUDGET", "3")
     assert minimum(parse("(v1 (+) v2 (+) v3) <-> (v1 (.) v2 (.) v3)")) == (0, (0, 0, 1))
+
+
+def _box_lp_cases(rng, count):
+    # feasible box LPs: rows at a point x of the box, each tight (a degenerate
+    # vertex when many are) or slack; then a duplicate row, zero rows, or x a
+    # box corner with every row tight and a multiple of one row
+    for trial in range(count):
+        v, m = rng.randint(1, 4), rng.randint(1, 5)
+        kind = trial % 4
+        x = [F(rng.randint(0, 1)) for _ in range(v)] if kind == 3 else list(rand_point(rng, v, 6))
+        rows = [[rng.randint(-3, 3) for _ in range(v)] for _ in range(m)]
+        if kind == 1:
+            rows.append(list(rng.choice(rows)))
+        elif kind == 2:
+            rows += [[0] * v for _ in range(rng.randint(1, 2))]
+        elif kind == 3:
+            rows.append([rng.randint(1, 3) * c for c in rng.choice(rows)])
+        slack = (lambda: 0) if kind == 3 else (lambda: rng.choice((0, 0, rand_unit(rng, 4))))
+        rhs = [sum(c * xi for c, xi in zip(row, x)) - slack() for row in rows]
+        cost = [rng.choice((-2, -1, 0, 0, 1, 3, F(1, 2), F(-3, 4))) for _ in range(v)]
+        yield kind, rows, rhs, cost
+
+
+def test_the_dual_box_lp_has_the_primal_optimum():
+    rng = random.Random(137)
+
+    def solve(a_rows, b, c, stage):
+        return solve_lp(a_rows, b, c)
+
+    kinds = [0] * 4
+    for kind, rows, rhs, cost in _box_lp_cases(rng, 640):
+        primal = primal_box_lp(rows, rhs, cost)
+        assert primal.status == "optimal"
+        assert geometry._box_lp(rows, rhs, cost, solve, "test") == primal.objective, (rows, rhs, cost)
+        kinds[kind] += 1
+    assert kinds == [160] * 4
+    # an infeasible primal (0 >= 1) leaves the dual unbounded: an error, not None
+    with pytest.raises(RuntimeError, match="^the dual of a test LP is unbounded"):
+        geometry._box_lp([[1, 0], [0, 0]], [0, 1], [1, 1], solve, "test")
+    assert primal_box_lp([[1, 0], [0, 0]], [0, 1], [1, 1]).status == "infeasible"
+
+
+def test_extrema_of_seeded_formulas_and_functions_are_pinned():
+    # minimum and maximum, values and witnesses, of 600 seeded formulas and
+    # the extrema of 200 random Max-Min functions, as the primal box LP gave them
+    rng = random.Random(193)
+    digest = hashlib.sha256()
+    for trial in range(800):
+        n = trial % 4 + 1
+        if trial % 4 == 3:
+            lo, lo_at, hi, hi_at = extrema(rand_maxmin(rng, n, max_groups=4, max_group_size=4, bound=3, max_den=8))
+            pairs = ((lo, lo_at), (hi, hi_at))
+        else:
+            phi = rand_formula(rng, n, 3, trial % 2 == 0)
+            pairs = (minimum(phi), maximum(phi))
+        for value, at in pairs:
+            digest.update(f"{value} {','.join(map(str, at))}\n".encode())
+    assert digest.hexdigest() == "07689b4e9b4365821724a165859119f73f48afc7744d3b5179b492b0ca6101db"

@@ -37,7 +37,6 @@ from rieszmv import (
     mm_neg_affine,
     mm_negate,
     mm_scale,
-    nnf,
     parse,
     projection,
     prune,
@@ -56,6 +55,7 @@ from helpers import (
     fraction_maxmin,
     fraction_prune,
     fraction_term_pwl,
+    nnf,
     rand_formula,
     rand_maxmin,
     rand_point,
